@@ -99,6 +99,8 @@ class SearchConfig:
             raise ValueError("convergence threshold must be positive")
         if self.restarts < 1:
             raise ValueError("restarts must be at least 1")
+        if self.max_iterations < 1:
+            raise ValueError("max_iterations must be at least 1")
         if not (self.alpha > 0):
             raise ValueError("alpha must be positive")
 

@@ -2,15 +2,30 @@
 
 Everything here favours obviousness over speed: separation is decided by
 enumerating every simple path and applying the blocking definition node by
-node. Only usable on small graphs, which is exactly what the tests feed it.
+node, and the reference VBEM fit keeps one responsibility vector per row.
+Only usable on small inputs, which is exactly what the tests feed it.
 """
 from __future__ import annotations
 
 import itertools
 import random
-from typing import FrozenSet, Iterable, Iterator, Tuple
+from typing import FrozenSet, Iterable, Iterator, List, Tuple
+
+import numpy as np
 
 from confinder.graphs import Edge, GraphKind, Mark, MixedGraph, validate
+from confinder.latentize import Latent, LatentizedDag, LatentSpec
+from confinder.seeds import derive_seed
+from confinder.vbem import (
+    DEFAULT_CONVERGENCE,
+    DEFAULT_ITERATION_CAP,
+    DEFAULT_RESTARTS,
+    Dataset,
+    VariationalState,
+    elbo,
+    vb_e_step,
+    vb_m_step,
+)
 
 
 def all_simple_paths(graph: MixedGraph, x: str, y: str) -> Iterator[Tuple[str, ...]]:
@@ -185,3 +200,75 @@ def exact_latent_marginal(cards, parents, observed_rows, latent_names, alpha=1.0
         scores.append(exact_conjugate_score(cards, parents, rows, alpha))
     top = max(scores)
     return top + math.log(sum(math.exp(s - top) for s in scores))
+
+
+# -- random latent models and a row-level VBEM reference -----------------------
+
+def random_observed_dag(rng: random.Random, names) -> list:
+    return [
+        Edge.directed(a, b)
+        for i, a in enumerate(names)
+        for b in names[i + 1 :]
+        if rng.random() < 0.4
+    ]
+
+
+def random_latentized_instance(rng: random.Random):
+    """Small random model with 0-2 latents plus uniform random data."""
+    names = tuple("ABCDE"[: rng.randint(3, 5)])
+    edges = random_observed_dag(rng, names)
+    latents = []
+    for k in range(rng.randint(0, 2)):
+        kids = tuple(rng.sample(names, rng.randint(2, min(3, len(names)))))
+        latent = Latent(f"_L{k + 1}", kids, rng.randint(2, 3))
+        latents.append(latent)
+        edges.extend(Edge.directed(latent.name, c) for c in latent.children)
+    dag = MixedGraph(
+        GraphKind.DAG,
+        names + tuple(l.name for l in latents),
+        tuple(edges),
+    )
+    model = LatentizedDag(dag, LatentSpec(tuple(latents)))
+    cards = {n: rng.randint(2, 3) for n in names}
+    rows = [
+        [rng.randrange(cards[n]) for n in names]
+        for _ in range(rng.randint(5, 50))
+    ]
+    data = Dataset([(n, cards[n]) for n in names], rows)
+    return model, data
+
+
+def reference_vbem(
+    model: LatentizedDag,
+    data: Dataset,
+    prior=None,
+    c: float = DEFAULT_CONVERGENCE,
+    restarts: int = DEFAULT_RESTARTS,
+    seed: int = 0,
+    max_iterations: int = DEFAULT_ITERATION_CAP,
+) -> List[VariationalState]:
+    """Every restart of a fit that gives each row its own responsibilities.
+
+    Built only from the public ``vb_m_step``, ``vb_e_step`` and ``elbo``,
+    with the seed derivation, initial draw and stopping rule of
+    ``run_vbem``, which keeps the first restart with the highest final
+    bound.
+    """
+    names = sorted(model.spec.names)
+    fits = []
+    for restart in range(restarts):
+        rng = np.random.default_rng(derive_seed(seed, "restart", restart))
+        q_latent = {
+            name: rng.dirichlet(np.ones(model.spec.states_of(name)), size=data.n_rows)
+            for name in names
+        }
+        q_theta = vb_m_step(model, data, q_latent, prior)
+        trace = [elbo(model, data, VariationalState(q_theta, q_latent), prior)]
+        for iteration in range(max_iterations):
+            q_latent = vb_e_step(model, data, q_theta, q_latent)
+            q_theta = vb_m_step(model, data, q_latent, prior)
+            trace.append(elbo(model, data, VariationalState(q_theta, q_latent), prior))
+            if iteration and abs(trace[-1] - trace[-2]) < c:
+                break
+        fits.append(VariationalState(q_theta, q_latent, tuple(trace)))
+    return fits

@@ -40,7 +40,13 @@ from confinder.seeds import derive_seed
 from confinder.vbem import Dataset, run_vbem
 from confinder.vbem import p_elbo as penalized
 
-from oracles import exact_conjugate_score, exact_latent_marginal, random_maximal_mag
+from oracles import (
+    exact_conjugate_score,
+    exact_latent_marginal,
+    random_latentized_instance,
+    random_maximal_mag,
+    random_observed_dag,
+)
 
 
 _CAPTURE = None
@@ -98,48 +104,36 @@ def instrument_model(child_states: int = 2) -> BnModel:
             [[0.95, 0.05], [0.25, 0.75], [0.75, 0.25], [0.05, 0.95]]
         )
     else:
-        # one dominant state per (parent, confounder) configuration
-        child = np.full((4, child_states), 0.1)
+        # one dominant state per (parent, confounder) configuration; the
+        # others get 0.1 each, or share 0.8 evenly when there are more than
+        # eight, so every row is a distribution with a dominant state
+        other = min(0.1, 0.8 / (child_states - 1))
+        child = np.full((4, child_states), other)
         for j in range(4):
-            child[j, j % child_states] = 1.0 - 0.1 * (child_states - 1)
+            child[j, j % child_states] = 1.0 - other * (child_states - 1)
     cards = {"A": 2, "D": 2, "U": 2, "B": child_states, "C": child_states}
     return BnModel(
         dag, cards, {"A": half, "U": half, "D": half, "B": child, "C": child}
     )
 
 
-def random_observed_dag(rng: random.Random, names) -> list:
-    return [
-        Edge.directed(a, b)
-        for i, a in enumerate(names)
-        for b in names[i + 1 :]
-        if rng.random() < 0.4
-    ]
-
-
-def random_latentized_instance(rng: random.Random):
-    """Small random model with 0-2 latents plus uniform random data."""
-    names = tuple("ABCDE"[: rng.randint(3, 5)])
-    edges = random_observed_dag(rng, names)
-    latents = []
-    for k in range(rng.randint(0, 2)):
-        kids = tuple(rng.sample(names, rng.randint(2, min(3, len(names)))))
-        latent = Latent(f"_L{k + 1}", kids, rng.randint(2, 3))
-        latents.append(latent)
-        edges.extend(Edge.directed(latent.name, c) for c in latent.children)
-    dag = MixedGraph(
-        GraphKind.DAG,
-        names + tuple(l.name for l in latents),
-        tuple(edges),
+def test_instrument_model_has_valid_rows_for_any_child_cardinality():
+    # the 2- and 4-state tables are the ones criteria 07, 08 and 10 and the
+    # earlier criterion-09 instance were calibrated on
+    assert np.array_equal(
+        instrument_model(2).cpt("B"),
+        [[0.95, 0.05], [0.25, 0.75], [0.75, 0.25], [0.05, 0.95]],
     )
-    model = LatentizedDag(dag, LatentSpec(tuple(latents)))
-    cards = {n: rng.randint(2, 3) for n in names}
-    rows = [
-        [rng.randrange(cards[n]) for n in names]
-        for _ in range(rng.randint(5, 50))
-    ]
-    data = Dataset([(n, cards[n]) for n in names], rows)
-    return model, data
+    four = np.full((4, 4), 0.1)
+    for j in range(4):
+        four[j, j] = 1.0 - 0.1 * 3
+    assert np.array_equal(instrument_model(4).cpt("B"), four)
+    for states in (3, 10, 11, 64):
+        # BnModel rejects negative entries and rows not summing to 1
+        child = instrument_model(states).cpt("C")
+        ranked = np.sort(child, axis=1)
+        assert np.all(ranked[:, -1] > ranked[:, -2])
+        assert list(child.argmax(axis=1)) == [j % states for j in range(4)]
 
 
 # -- 01: the bound never decreases within a fit ------------------------------
@@ -445,11 +439,12 @@ def test_08_stratified_search_dominates_hill_climbing():
 
 def test_09_budgeted_runs_return_on_time():
     with criterion(9, "budgeted runs return on time with best-of-trace"):
-        # frozen slow instance: 4-state children and N=90000 make a single
-        # latent fit take tens of seconds, so the full walk needs well
-        # over 30 s while a 2 s budget must hand back after one fit
-        model = instrument_model(child_states=4)
-        data = forward_sample(model, 90000, derive_seed(0, "sample"), ("U",))
+        # frozen slow instance: 64-state children and N=300000 leave about
+        # 16 000 distinct rows, and fits run over distinct rows, so a latent
+        # fit takes seconds to tens of seconds; the full walk needs well over
+        # 30 s while a 2 s budget must hand back within a fit of expiring
+        model = instrument_model(child_states=64)
+        data = forward_sample(model, 300000, derive_seed(0, "sample"), ("U",))
         pag = derive_true_pag(model, "U")
 
         started = time.monotonic()

@@ -93,6 +93,8 @@ class TestConfig:
             SearchConfig(convergence=0.0)
         with pytest.raises(ValueError):
             SearchConfig(restarts=0)
+        with pytest.raises(ValueError, match="max_iterations"):
+            SearchConfig(max_iterations=0)
         with pytest.raises(ValueError):
             SearchConfig(alpha=0.0)
 

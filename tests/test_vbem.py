@@ -22,7 +22,12 @@ from confinder.vbem import (
     vb_e_step,
     vb_m_step,
 )
-from oracles import exact_conjugate_score, exact_latent_marginal
+from oracles import (
+    exact_conjugate_score,
+    exact_latent_marginal,
+    random_latentized_instance,
+    reference_vbem,
+)
 
 
 def mag(nodes, *edges):
@@ -314,6 +319,68 @@ def test_restarts_never_hurt():
     _s5, five = run_vbem(model, data, restarts=5, seed=0)
     assert five.elbo >= one.elbo - 1e-9
     assert five.restarts_used == 5
+
+
+def single_latent_models():
+    """One latent each: a pair (2 and 3 states), a triple, and a pair with
+    an observed parent."""
+    triple = latentize_min(
+        mag(
+            "ABC",
+            Edge.bidirected("A", "B"),
+            Edge.bidirected("B", "C"),
+            Edge.bidirected("A", "C"),
+        )
+    )
+    with_parent = latentize_min(
+        mag("ABC", Edge.bidirected("A", "B"), Edge.directed("C", "A"))
+    )
+    models = [pair_model(), pair_model().with_states({"_L1": 3}), triple, with_parent]
+    assert all(len(m.spec) == 1 for m in models)
+    return models
+
+
+def test_distinct_row_fit_matches_the_row_level_reference():
+    for seed in range(6):
+        for model in single_latent_models():
+            rng = random.Random(seed)
+            names = model.observed
+            cards = {name: rng.randint(2, 3) for name in names}
+            # heavily duplicated rows: 60 draws from 6 patterns
+            patterns = [[rng.randrange(cards[n]) for n in names] for _ in range(6)]
+            rows = [rng.choice(patterns) for _ in range(60)]
+            data = Dataset([(n, cards[n]) for n in names], rows)
+
+            state, report = run_vbem(model, data, restarts=3, seed=seed)
+            fits = reference_vbem(model, data, restarts=3, seed=seed)
+            finals = [fit.elbo_trace[-1] for fit in fits]
+            winner = fits[finals.index(max(finals))]
+
+            assert report.elbo == pytest.approx(winner.elbo_trace[-1], abs=1e-8)
+            assert len(state.elbo_trace) == len(winner.elbo_trace)
+            # averaging the initial draw within identical rows only raises
+            # the first bound; from the first E-step on the fits coincide
+            assert state.elbo_trace[0] >= winner.elbo_trace[0] - 1e-8
+            assert np.allclose(
+                state.elbo_trace[1:], winner.elbo_trace[1:], rtol=0.0, atol=1e-8
+            )
+            for name, q in winner.q_latent.items():
+                assert np.allclose(state.q_latent[name], q, rtol=0.0, atol=1e-8)
+
+
+def test_fitted_state_reproduces_the_reported_bound():
+    # the criterion-01 corpus: 0-2 latents, some families with two latent
+    # parents, rows bound one by one when the bound is recomputed
+    with_two = 0
+    for seed in range(120):
+        rng = random.Random(seed)
+        model, data = random_latentized_instance(rng)
+        state, report = run_vbem(model, data, c=1e-4, restarts=2, seed=seed)
+        for latent in model.spec.latents:
+            assert state.q_latent[latent.name].shape == (data.n_rows, latent.states)
+        assert elbo(model, data, state) == pytest.approx(report.elbo, rel=0.0, abs=1e-8)
+        with_two += len(model.spec) == 2
+    assert with_two > 10
 
 
 def test_state_invariants_are_enforced():
