@@ -142,10 +142,14 @@ def forward_sample(
         j = np.zeros(n, dtype=np.int64)
         for parent in parents:
             j += strides[parent] * values[parent]
-        cumulative = np.cumsum(model.cpt(node), axis=1)[j]
+        cumulative = np.cumsum(model.cpt(node), axis=1)
         draws = rng.random(n)
-        states = (draws[:, None] > cumulative).sum(axis=1)
-        values[node] = np.minimum(states, model.cardinality(node) - 1).astype(np.int64)
+        # a state is the count of cumulative bounds below its draw
+        states = np.empty(n, dtype=np.int64)
+        for config in np.unique(j):
+            sel = j == config
+            states[sel] = np.searchsorted(cumulative[config], draws[sel], side="left")
+        values[node] = np.minimum(states, model.cardinality(node) - 1)
     variables = tuple((name, model.cardinality(name)) for name in observed)
     rows = np.column_stack([values[name] for name in observed])
     return Dataset(variables, rows)

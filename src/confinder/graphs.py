@@ -2,8 +2,8 @@
 
 A single representation covers DAGs (tail-arrow edges only), MAGs (directed
 plus bi-directed edges) and PAGs (circle marks for undetermined endpoints).
-Separation queries, conditional-independence signatures and MAG Markov
-equivalence live here as well.
+Separation queries, conditional-independence signatures, inducing paths and
+the graphical MAG Markov-equivalence test live here as well.
 
 Graphs are immutable after construction and safe to share across workers;
 node identifiers are case-sensitive strings and all derived orderings are
@@ -16,7 +16,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
-from typing import FrozenSet, Iterable, Iterator, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, Optional, Tuple
 
 
 class Mark(Enum):
@@ -293,9 +293,14 @@ class _Index:
         self.bidirected = tuple(sorted(bidirected))
 
 
-@lru_cache(maxsize=8192)
 def _index(g: MixedGraph) -> _Index:
-    return _Index(g)
+    # kept on the instance: graphs are immutable, and hashing a graph to look
+    # its index up costs more than most of the queries the index serves
+    idx = g.__dict__.get("_idx")
+    if idx is None:
+        idx = _Index(g)
+        object.__setattr__(g, "_idx", idx)
+    return idx
 
 
 # ---------------------------------------------------------------------------
@@ -518,14 +523,109 @@ def _signature_cached(graph: MixedGraph, scope: Tuple[str, ...]) -> CISet:
     return frozenset(found)
 
 
+# ---------------------------------------------------------------------------
+# Inducing paths and graphical Markov equivalence
+# ---------------------------------------------------------------------------
+
+def has_inducing_path(
+    graph: MixedGraph, x: str, y: str, hidden: Iterable[str] = ()
+) -> bool:
+    """Is there an inducing path between x and y relative to ``hidden``?
+
+    On such a path every interior node outside ``hidden`` is a collider and
+    every collider is an ancestor of x or y (Richardson & Spirtes 2002). It
+    exists iff no set of visible nodes separates x from y. One reachability
+    query decides it: the query conditions on the visible ancestors of
+    {x, y}, and every node of a path open given that set is an ancestor of x
+    or y, so each visible interior node of the path must be a collider.
+    """
+    if x == y:
+        raise ValueError("inducing path endpoints must differ")
+    unknown = {x, y} - set(graph.nodes)
+    if unknown:
+        raise ValueError(f"unknown nodes {sorted(unknown)}")
+    z = graph.ancestors((x, y)) - set(hidden) - {x, y}
+    return _connected(graph, x, y, z)
+
+
+def maximal_augmentation(mag: MixedGraph) -> MixedGraph:
+    """The maximal ancestral graph with the same separation statements.
+
+    Adds x <-> y for every non-adjacent pair joined by an inducing path
+    (Richardson & Spirtes 2002, Thm 5.1); a maximal graph comes back as is.
+    """
+    added = tuple(
+        Edge.bidirected(x, y)
+        for x, y in itertools.combinations(mag.nodes, 2)
+        if not mag.has_edge(x, y) and has_inducing_path(mag, x, y)
+    )
+    return MixedGraph(mag.kind, mag.nodes, mag.edges + added) if added else mag
+
+
+def _is_collider(graph: MixedGraph, a: str, b: str, c: str) -> bool:
+    return graph.mark_between(b, a) is Mark.ARROW and graph.mark_between(b, c) is Mark.ARROW
+
+
+def _unshielded_colliders(graph: MixedGraph) -> FrozenSet[Tuple[str, str, str]]:
+    """(a, b, c) with a < c, a *-> b <-* c and a, c non-adjacent."""
+    return frozenset(
+        (a, b, c)
+        for b in graph.nodes
+        for a, c in itertools.combinations(graph.adjacent(b), 2)
+        if not graph.has_edge(a, c) and _is_collider(graph, a, b, c)
+    )
+
+
+def _discriminating_paths(graph: MixedGraph) -> Dict[Tuple[str, ...], bool]:
+    """Every discriminating path for a node, mapped to its collider status.
+
+    A path <x, q1, ..., qk, v, y> with k >= 1 discriminates v when x and y
+    are non-adjacent and every qi is a collider on the path and a parent of
+    y. Paths are grown backwards from the v-y edge, one qi at a time.
+    """
+    found: Dict[Tuple[str, ...], bool] = {}
+
+    def grow(trail: Tuple[str, ...], y: str, parents_of_y) -> None:
+        # trail = (y, v, qk, ..., qi); qi has an arrowhead toward v's side
+        q = trail[-1]
+        for w in graph.adjacent(q):
+            if w in trail or graph.mark_between(q, w) is not Mark.ARROW:
+                continue
+            if not graph.has_edge(w, y):
+                path = tuple(reversed(trail + (w,)))
+                found[path] = _is_collider(graph, trail[2], trail[1], y)
+            elif w in parents_of_y and graph.mark_between(w, q) is Mark.ARROW:
+                grow(trail + (w,), y, parents_of_y)
+
+    for v in graph.nodes:
+        for y in graph.adjacent(v):
+            parents_of_y = frozenset(graph.parents(y))
+            for q in graph.adjacent(v):
+                if q in parents_of_y and graph.mark_between(q, v) is Mark.ARROW:
+                    grow((y, v, q), y, parents_of_y)
+    return found
+
+
 def markov_equivalent(mag_a: MixedGraph, mag_b: MixedGraph) -> bool:
     """True iff the two MAGs entail exactly the same separation statements.
 
-    Definitional check by exhaustive CI-signature comparison over the full
-    node set; exact at the scales this package targets.
+    Both graphs must be valid (ancestral). Each is replaced by its maximal
+    augmentation, which keeps its separation statements; two maximal graphs
+    are equivalent iff they share the skeleton, the unshielded colliders and
+    the collider status of the node discriminated by every path that is
+    discriminating in both (Spirtes & Richardson 1996; Ali, Richardson &
+    Spirtes 2009).
     """
-    if mag_a.kind is not GraphKind.MAG or mag_b.kind is not GraphKind.MAG:
-        raise ValueError("markov_equivalent expects two MAGs")
+    require_valid(mag_a, GraphKind.MAG, "mag_a")
+    require_valid(mag_b, GraphKind.MAG, "mag_b")
     if mag_a.nodes != mag_b.nodes:
         raise ValueError("markov_equivalent requires identical node sets")
-    return ci_signature(mag_a) == ci_signature(mag_b)
+    a = maximal_augmentation(mag_a)
+    b = maximal_augmentation(mag_b)
+    if {e.pair for e in a.edges} != {e.pair for e in b.edges}:
+        return False
+    if _unshielded_colliders(a) != _unshielded_colliders(b):
+        return False
+    paths_a = _discriminating_paths(a)
+    paths_b = _discriminating_paths(b)
+    return all(paths_a[p] == paths_b[p] for p in paths_a.keys() & paths_b.keys())

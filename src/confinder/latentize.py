@@ -26,6 +26,7 @@ from confinder.graphs import (
     SeparationQuery,
     ci_signature,
     d_separated,
+    has_inducing_path,
     m_separated,
     require_valid,
 )
@@ -275,19 +276,20 @@ def latentize_min(mag: MixedGraph) -> LatentizedDag:
 def project_to_mag(dag: MixedGraph, observed: Sequence[str]) -> MixedGraph:
     """Marginalise a DAG's hidden nodes into the MAG over ``observed``.
 
-    Two observed nodes are adjacent iff no conditioning set drawn from the
-    other observed nodes separates them; an adjacency is directed when one
-    endpoint is an ancestor of the other and bi-directed otherwise.
+    Two observed nodes are adjacent iff an inducing path relative to the
+    hidden nodes joins them, which holds iff no set of other observed nodes
+    separates them (Richardson & Spirtes 2002); an adjacency is directed
+    when one endpoint is an ancestor of the other and bi-directed otherwise.
     """
     require_valid(dag, GraphKind.DAG, "dag")
     observed = tuple(sorted(set(observed)))
     unknown = set(observed) - set(dag.nodes)
     if unknown:
         raise ValueError(f"unknown observed nodes: {sorted(unknown)}")
-    separable = {(x, y) for (x, y, _z) in ci_signature(dag, observed)}
+    hidden = set(dag.nodes) - set(observed)
     edges = []
     for x, y in itertools.combinations(observed, 2):
-        if (x, y) in separable:
+        if not has_inducing_path(dag, x, y, hidden):
             continue
         if dag.is_ancestor(x, y):
             edges.append(Edge.directed(x, y))

@@ -22,7 +22,7 @@ from confinder.graphs import (
     Edge,
     Mark,
     MixedGraph,
-    ci_signature,
+    has_inducing_path,
     markov_equivalent,
     require_valid,
     validate,
@@ -30,8 +30,8 @@ from confinder.graphs import (
 
 ENUMERATION_LIMIT = 100000
 
-# pag_of_mag walks 3^|E| orientations, each scored by an exhaustive CI
-# signature; past this many edges the walk stops being a desk-scale tool
+# pag_of_mag walks 3^|E| orientations, each checked for validity and Markov
+# equivalence; past this many edges the walk stops being a desk-scale tool
 PAG_RECOVERY_MAX_EDGES = 10
 
 Slot = Tuple[Tuple[str, str], str]  # (edge pair, endpoint node)
@@ -241,20 +241,23 @@ def orientation_neighbors(
 
 
 def is_maximal(mag: MixedGraph) -> bool:
-    """True iff every non-adjacent node pair is m-separated by some set."""
+    """True iff every non-adjacent node pair is m-separated by some set.
+
+    That holds iff no inducing path joins a non-adjacent pair.
+    """
     require_valid(mag, GraphKind.MAG, "mag")
-    separable = {(x, y) for (x, y, _z) in ci_signature(mag)}
-    for x, y in itertools.combinations(mag.nodes, 2):
-        if not mag.has_edge(x, y) and (x, y) not in separable:
-            return False
-    return True
+    return not any(
+        has_inducing_path(mag, x, y)
+        for x, y in itertools.combinations(mag.nodes, 2)
+        if not mag.has_edge(x, y)
+    )
 
 
 def pag_of_mag(mag: MixedGraph) -> MixedGraph:
     """Recover the PAG of a MAG by brute force over its equivalence class.
 
     Every same-skeleton re-orientation (each edge as ->, <- or <->) that is
-    valid and entails the same CI signature is a class member; marks that
+    valid and Markov equivalent to the input is a class member; marks that
     agree across all members stay, the rest become circles. Requires a
     maximal input: non-maximal ancestral graphs can have equivalent graphs
     with different skeletons, which this skeleton-fixing walk would miss.
@@ -267,7 +270,6 @@ def pag_of_mag(mag: MixedGraph) -> MixedGraph:
         )
     if not is_maximal(mag):
         raise ValueError("pag_of_mag requires a maximal MAG")
-    signature = ci_signature(mag)
     options = (
         (Mark.TAIL, Mark.ARROW),
         (Mark.ARROW, Mark.TAIL),
@@ -279,7 +281,7 @@ def pag_of_mag(mag: MixedGraph) -> MixedGraph:
             Edge(e.a, e.b, ma, mb) for e, (ma, mb) in zip(mag.edges, assignment)
         )
         g = MixedGraph(GraphKind.MAG, mag.nodes, edges)
-        if validate(g).ok and ci_signature(g) == signature:
+        if validate(g).ok and markov_equivalent(g, mag):
             members.append(g)
     pag_edges = []
     for i, e in enumerate(mag.edges):

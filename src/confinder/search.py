@@ -57,7 +57,6 @@ STOP_REASONS = (
     "stratum-no-improvement",
     "local-maximum",
     "budget",
-    "limit",
 )
 
 
@@ -145,8 +144,7 @@ class SearchTrace:
     the cap improved, or the hill-climb ran out of in-cap moves after
     improving); ``stratum-no-improvement`` and ``local-maximum`` are the
     early stops of the respective strategies; ``budget`` marks an anytime
-    return. ``limit`` is reserved for enumeration overflow, which currently
-    raises instead of returning a trace.
+    return.
     """
 
     entries: Tuple[TraceEntry, ...]
@@ -220,7 +218,10 @@ class _Session:
             restarts=self.cfg.restarts,
             seed=derive_seed(self.cfg.seed, "vbem", fingerprint),
             max_iterations=self.cfg.max_iterations,
+            deadline=self.deadline,
         )
+        # a fit that ran into the deadline was cut short: the run is over
+        self.out_of_time()
         scored = ScoredModel(
             model=model,
             state=state,
@@ -337,13 +338,9 @@ def ilcv(
     if stop is None:
         stop = "converged"
     if stop != "budget":
-        refined = _greedy_states(session, incumbent)
+        _greedy_states(session, incumbent)
         if session.budget_hit:
             stop = "budget"
-        else:
-            # the final model was fitted fresh when first scored; rescoring
-            # it is a cache hit with identical, already-revised numbers
-            session.score(refined.model)
     return session.best, session.trace(stop)
 
 
@@ -416,11 +413,9 @@ def hclcv(
             stop = "local-maximum"
             break
     if stop != "budget":
-        refined = _greedy_states(session, current)
+        _greedy_states(session, current)
         if session.budget_hit:
             stop = "budget"
-        else:
-            session.score(refined.model)
     return session.best, session.trace(stop)
 
 

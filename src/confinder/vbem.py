@@ -31,6 +31,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import time
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
@@ -515,6 +516,7 @@ def run_vbem(
     restarts: int = DEFAULT_RESTARTS,
     seed: int = 0,
     max_iterations: int = DEFAULT_ITERATION_CAP,
+    deadline: Optional[float] = None,
 ) -> Tuple[VariationalState, ScoreReport]:
     """Fit the surrogate posterior, keeping the best of seeded restarts.
 
@@ -524,6 +526,10 @@ def run_vbem(
     improves the bound by less than ``c`` or ``max_iterations`` passes
     elapse. The best final bound wins; ties go to the earliest restart, so
     results are reproducible bit for bit.
+
+    ``deadline`` is a ``time.monotonic()`` instant. Once it has passed, the
+    running restart stops before its next pass and no further restart
+    starts; the best restart so far is returned, reported as not converged.
     """
     if not (c > 0):
         raise ValueError("convergence threshold must be positive")
@@ -545,8 +551,17 @@ def run_vbem(
         )
         return state, report
 
+    def out_of_time() -> bool:
+        return deadline is not None and time.monotonic() >= deadline
+
     best: Optional[Tuple[VariationalState, bool]] = None
+    cut = False
+    started = 0
     for restart in range(restarts):
+        if restart and out_of_time():
+            cut = True
+            break
+        started += 1
         rng = np.random.default_rng(derive_seed(seed, "restart", restart))
         q_latent = {
             name: _group_means(
@@ -560,6 +575,9 @@ def run_vbem(
         trace = [_elbo(binding, q_theta, q_latent)]
         converged = False
         for iteration in range(max_iterations):
+            if out_of_time():
+                cut = True
+                break
             q_latent = _e_step(binding, q_theta, q_latent)
             q_theta = _m_step(binding, q_latent)
             trace.append(_elbo(binding, q_theta, q_latent))
@@ -570,6 +588,8 @@ def run_vbem(
                 break
         if best is None or trace[-1] > best[0].elbo_trace[-1]:
             best = (VariationalState(q_theta, q_latent, tuple(trace)), converged)
+        if cut:
+            break
 
     fitted, converged = best
     state = VariationalState(
@@ -582,8 +602,8 @@ def run_vbem(
         elbo=value,
         p_elbo=p_elbo(value, model.spec),
         iterations=len(state.elbo_trace),
-        converged=converged,
-        restarts_used=restarts,
+        converged=converged and not cut,
+        restarts_used=started,
     )
     return state, report
 

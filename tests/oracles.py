@@ -2,18 +2,19 @@
 
 Everything here favours obviousness over speed: separation is decided by
 enumerating every simple path and applying the blocking definition node by
-node, and the reference VBEM fit keeps one responsibility vector per row.
-Only usable on small inputs, which is exactly what the tests feed it.
+node, Markov equivalence and marginal MAGs by comparing or reading full CI
+signatures, and the reference VBEM fit keeps one responsibility vector per
+row. Only usable on small inputs, which is exactly what the tests feed it.
 """
 from __future__ import annotations
 
 import itertools
 import random
-from typing import FrozenSet, Iterable, Iterator, List, Tuple
+from typing import FrozenSet, Iterable, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
-from confinder.graphs import Edge, GraphKind, Mark, MixedGraph, validate
+from confinder.graphs import Edge, GraphKind, Mark, MixedGraph, ci_signature, validate
 from confinder.latentize import Latent, LatentizedDag, LatentSpec
 from confinder.seeds import derive_seed
 from confinder.vbem import (
@@ -99,6 +100,16 @@ def random_skeleton(rng: random.Random, n_nodes: int, edge_prob: float) -> Tuple
     )
 
 
+def random_edge(rng: random.Random, a: str, b: str) -> Edge:
+    """a --> b, b --> a or a <-> b, each with probability 1/3."""
+    kind = rng.randrange(3)
+    if kind == 0:
+        return Edge.directed(a, b)
+    if kind == 1:
+        return Edge.directed(b, a)
+    return Edge.bidirected(a, b)
+
+
 def orient_randomly(rng: random.Random, nodes, skeleton) -> MixedGraph:
     """One random valid MAG over a fixed skeleton (rejection sampling).
 
@@ -107,16 +118,8 @@ def orient_randomly(rng: random.Random, nodes, skeleton) -> MixedGraph:
     not always valid, but for sparse skeletons acceptance is quick.
     """
     while True:
-        edges = []
-        for a, b in skeleton:
-            kind = rng.randrange(3)
-            if kind == 0:
-                edges.append(Edge.directed(a, b))
-            elif kind == 1:
-                edges.append(Edge.directed(b, a))
-            else:
-                edges.append(Edge.bidirected(a, b))
-        g = MixedGraph(GraphKind.MAG, nodes, tuple(edges))
+        edges = tuple(random_edge(rng, a, b) for a, b in skeleton)
+        g = MixedGraph(GraphKind.MAG, nodes, edges)
         if validate(g).ok:
             return g
 
@@ -124,6 +127,33 @@ def orient_randomly(rng: random.Random, nodes, skeleton) -> MixedGraph:
 def random_mag(rng: random.Random, n_nodes: int, edge_prob: float = 0.35) -> MixedGraph:
     nodes, skeleton = random_skeleton(rng, n_nodes, edge_prob)
     return orient_randomly(rng, nodes, skeleton)
+
+
+def random_non_maximal_mag(rng: random.Random, n_nodes: int, edge_prob: float = 0.3) -> MixedGraph:
+    """A valid MAG that is not maximal (rejection sampling, n_nodes >= 4).
+
+    Plants x <-> a <-> b <-> y with a --> y and b --> x on four random nodes:
+    that path joins the non-adjacent x and y as an inducing path whatever
+    else the graph holds. Every other pair but x-y gets a random edge with
+    probability ``edge_prob``.
+    """
+    names = tuple(f"V{i}" for i in range(n_nodes))
+    while True:
+        x, a, b, y = rng.sample(names, 4)
+        edges = [
+            Edge.bidirected(x, a),
+            Edge.bidirected(a, b),
+            Edge.bidirected(b, y),
+            Edge.directed(a, y),
+            Edge.directed(b, x),
+        ]
+        taken = {e.pair for e in edges} | {tuple(sorted((x, y)))}
+        for u, v in itertools.combinations(names, 2):
+            if (u, v) not in taken and rng.random() < edge_prob:
+                edges.append(random_edge(rng, u, v))
+        g = MixedGraph(GraphKind.MAG, names, tuple(edges))
+        if validate(g).ok:
+            return g
 
 
 def is_maximal_oracle(mag: MixedGraph) -> bool:
@@ -141,6 +171,32 @@ def is_maximal_oracle(mag: MixedGraph) -> bool:
             ):
                 return False
     return True
+
+
+def markov_equivalent_oracle(mag_a: MixedGraph, mag_b: MixedGraph) -> bool:
+    """Definitional check: the two MAGs entail the same separation statements."""
+    return ci_signature(mag_a) == ci_signature(mag_b)
+
+
+def project_to_mag_oracle(dag: MixedGraph, observed: Sequence[str]) -> MixedGraph:
+    """Marginal MAG read off the DAG's CI signature over ``observed``.
+
+    Observed x and y are adjacent iff no set of other observed nodes
+    separates them; adjacencies are oriented by ancestry in the DAG.
+    """
+    observed = tuple(sorted(set(observed)))
+    separable = {(x, y) for (x, y, _z) in ci_signature(dag, observed)}
+    edges = []
+    for x, y in itertools.combinations(observed, 2):
+        if (x, y) in separable:
+            continue
+        if dag.is_ancestor(x, y):
+            edges.append(Edge.directed(x, y))
+        elif dag.is_ancestor(y, x):
+            edges.append(Edge.directed(y, x))
+        else:
+            edges.append(Edge.bidirected(x, y))
+    return MixedGraph(GraphKind.MAG, observed, tuple(edges))
 
 
 def random_maximal_mag(

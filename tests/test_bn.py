@@ -206,3 +206,32 @@ class TestForwardSample:
         assert data.column("X").max() <= 2
         assert data.column("Y").max() <= 3
         assert data.column("X").min() >= 0
+
+    def test_states_match_the_cumulative_table_expression(self):
+        # the states must stay bit-identical to counting the cumulative
+        # bounds below each draw over an N x k table, the expression the
+        # sampler used before it searched one configuration at a time
+        k = 64
+        table_rng = np.random.default_rng(5)
+        child = table_rng.dirichlet(np.full(k, 0.3), size=3)
+        child[1, ::2] = 0.0  # zero-probability states tie cumulative bounds
+        child[1] /= child[1].sum()
+        dag = MixedGraph(GraphKind.DAG, ("X", "Y"), (Edge.directed("X", "Y"),))
+        model = BnModel(
+            dag, {"X": 3, "Y": k}, {"X": np.array([[0.2, 0.5, 0.3]]), "Y": child}
+        )
+        n = 20000
+        data = forward_sample(model, n, seed=9)
+
+        rng = np.random.default_rng(9)
+
+        def table_states(node, j):
+            cumulative = np.cumsum(model.cpt(node), axis=1)[j]
+            states = (rng.random(n)[:, None] > cumulative).sum(axis=1)
+            return np.minimum(states, model.cardinality(node) - 1)
+
+        x = table_states("X", np.zeros(n, dtype=np.int64))
+        y = table_states("Y", x)
+        assert np.array_equal(data.column("X"), x)
+        assert np.array_equal(data.column("Y"), y)
+        assert len(np.unique(y)) > 32

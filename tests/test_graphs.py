@@ -12,11 +12,23 @@ from confinder.graphs import (
     SeparationQuery,
     ci_signature,
     d_separated,
+    has_inducing_path,
     m_separated,
     markov_equivalent,
+    maximal_augmentation,
     validate,
 )
-from oracles import all_queries, orient_randomly, random_dag, random_mag, random_skeleton, separated_oracle
+from oracles import (
+    all_queries,
+    is_maximal_oracle,
+    markov_equivalent_oracle,
+    orient_randomly,
+    random_dag,
+    random_mag,
+    random_non_maximal_mag,
+    random_skeleton,
+    separated_oracle,
+)
 
 
 def dag(nodes, *edges):
@@ -313,3 +325,72 @@ def test_equivalence_reflexive_symmetric_transitive(seed):
     assert markov_equivalent(a, b) == markov_equivalent(b, a)
     if markov_equivalent(a, b) and markov_equivalent(b, c):
         assert markov_equivalent(a, c)
+
+
+def test_equivalence_requires_valid_mags():
+    cyclic = mag("ABC", Edge.directed("A", "B"), Edge.directed("B", "C"), Edge.directed("C", "A"))
+    with pytest.raises(ValueError, match="not valid"):
+        markov_equivalent(cyclic, cyclic)
+
+
+def test_augmentation_of_non_maximal_mag_is_equivalent_with_another_skeleton():
+    # X <-> A <-> B <-> Y with A --> Y and B --> X: an inducing path joins X
+    # and Y, so no set separates them though they are non-adjacent
+    m = mag(
+        "ABXY",
+        Edge.bidirected("X", "A"),
+        Edge.bidirected("A", "B"),
+        Edge.bidirected("B", "Y"),
+        Edge.directed("A", "Y"),
+        Edge.directed("B", "X"),
+    )
+    assert has_inducing_path(m, "X", "Y")
+    full = maximal_augmentation(m)
+    assert set(full.edges) == set(m.edges) | {Edge.bidirected("X", "Y")}
+    assert markov_equivalent(m, full)
+    assert markov_equivalent_oracle(m, full)
+
+
+def test_discriminating_path_decides_collider_status():
+    # <X, Q, V, Y> discriminates V: X *-> Q <-* V with Q --> Y, X and Y
+    # non-adjacent; the two graphs differ only in V's collider status there
+    edges = (Edge.bidirected("Q", "X"), Edge.directed("Q", "Y"))
+    collider = mag("QVXY", *edges, Edge.bidirected("Q", "V"), Edge.bidirected("V", "Y"))
+    non_collider = mag("QVXY", *edges, Edge.directed("V", "Q"), Edge.directed("V", "Y"))
+    assert validate(collider).ok and validate(non_collider).ok
+    assert not markov_equivalent(collider, non_collider)
+    assert not markov_equivalent_oracle(collider, non_collider)
+
+
+def test_inducing_path_relative_to_hidden_nodes():
+    g = dag("ABL", Edge.directed("L", "A"), Edge.directed("L", "B"))
+    assert has_inducing_path(g, "A", "B", hidden={"L"})
+    assert not has_inducing_path(g, "A", "B")
+    with pytest.raises(ValueError):
+        has_inducing_path(g, "A", "A")
+    with pytest.raises(ValueError, match="unknown"):
+        has_inducing_path(g, "A", "Q")
+
+
+@given(st.integers(0, 10**6))
+@settings(max_examples=60, deadline=None)
+def test_equivalence_matches_signature_oracle(seed):
+    rng = random.Random(seed)
+    n = rng.randint(4, 6)
+    nodes, skeleton = random_skeleton(rng, n, rng.choice((0.3, 0.5, 0.7)))
+    same_skeleton = [orient_randomly(rng, nodes, skeleton) for _ in range(2)]
+    other_skeleton = random_mag(rng, n, 0.5)
+    non_maximal = random_non_maximal_mag(rng, n)
+    pairs = [
+        tuple(same_skeleton),
+        (same_skeleton[0], other_skeleton),
+        (non_maximal, random_non_maximal_mag(rng, n)),
+        (non_maximal, other_skeleton),
+    ]
+    for g in same_skeleton + [other_skeleton, non_maximal]:
+        full = maximal_augmentation(g)
+        assert is_maximal_oracle(full)
+        assert markov_equivalent(g, full) and markov_equivalent(full, g)
+        pairs.append((g, full))
+    for a, b in pairs:
+        assert markov_equivalent(a, b) == markov_equivalent_oracle(a, b)

@@ -17,7 +17,7 @@ from confinder.latentize import (
     project_to_mag,
     verify_ci_equivalence,
 )
-from oracles import random_dag, random_maximal_mag
+from oracles import project_to_mag_oracle, random_dag, random_maximal_mag
 
 
 def mag(nodes, *edges):
@@ -263,6 +263,15 @@ def test_projection_of_full_node_set_is_identity(seed):
     rng = random.Random(seed)
     g = random_dag(rng, 6)
     assert project_to_mag(g, g.nodes) == g.with_kind(GraphKind.MAG)
+
+
+@given(st.integers(0, 10**6))
+@settings(max_examples=40, deadline=None)
+def test_projection_matches_signature_oracle(seed):
+    rng = random.Random(seed)
+    g = random_dag(rng, rng.randint(3, 8), rng.choice((0.3, 0.5)))
+    observed = rng.sample(g.nodes, rng.randint(2, min(6, len(g.nodes))))
+    assert project_to_mag(g, observed) == project_to_mag_oracle(g, observed)
 
 
 @given(st.integers(0, 10**6))

@@ -23,7 +23,13 @@ from confinder.magspace import (
     pag_of_mag,
     reference_mag,
 )
-from oracles import random_maximal_mag, separated_oracle
+from oracles import (
+    is_maximal_oracle,
+    random_mag,
+    random_maximal_mag,
+    random_non_maximal_mag,
+    separated_oracle,
+)
 
 
 def pag(nodes, *edges):
@@ -255,6 +261,15 @@ def test_pag_of_mag_requires_maximal_input():
     )
     with pytest.raises(ValueError, match="maximal"):
         pag_of_mag(m)
+
+
+@given(st.integers(0, 10**6))
+@settings(max_examples=40, deadline=None)
+def test_is_maximal_matches_oracle(seed):
+    rng = random.Random(seed)
+    n = rng.randint(4, 6)
+    for g in (random_mag(rng, n, 0.5), random_non_maximal_mag(rng, n)):
+        assert is_maximal(g) == is_maximal_oracle(g)
 
 
 @given(st.integers(0, 10**6))

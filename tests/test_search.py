@@ -1,5 +1,6 @@
 """Strategy-level tests: stratified search, hill climbing, state growth."""
 import math
+import time
 
 import numpy as np
 import pytest
@@ -422,6 +423,29 @@ class TestAnytime:
         assert cut_ids == full_ids[: len(cut_ids)]
         assert cut_best.p_elbo <= full_best.p_elbo + 1e-9
 
+    @pytest.mark.parametrize("strategy", ["ilcv", "hclcv"])
+    def test_budget_cuts_a_running_fit_short(self, strategy):
+        # 50 restarts over 4 096 distinct rows of 64 x 64 states: one uncut
+        # fit of the single latent takes about 25 s on a 2-core 2.1 GHz
+        # machine, so only the deadline inside the fit can end it in time
+        rng = np.random.default_rng(0)
+        n, k = 100000, 64
+        u = rng.integers(0, 2, n)
+        a = (7 * u + rng.integers(0, k, n)) % k
+        b = (5 * u + rng.integers(0, k, n)) % k
+        data = Dataset((("A", k), ("B", k)), np.column_stack([a, b]))
+        pag = MixedGraph(GraphKind.PAG, ("A", "B"), (Edge.bidirected("A", "B"),))
+        budget = 1.0
+        cfg = SearchConfig(strategy=strategy, restarts=50, budget_seconds=budget)
+        started = time.monotonic()
+        best, trace = run_search(pag, data, cfg)
+        took = time.monotonic() - started
+        assert took <= budget + 1.0
+        assert trace.stop_reason == "budget"
+        assert len(trace.entries) == 1
+        assert not best.report.converged
+        assert best.report.restarts_used < 50
+
 
 class TestDeterminism:
     @pytest.mark.parametrize("strategy", ["ilcv", "hclcv"])
@@ -457,9 +481,10 @@ class TestEquivalenceCheckUsage:
         def boom(*args, **kwargs):
             raise AssertionError("markov_equivalent must not be called")
 
-        monkeypatch.setattr(confinder.magspace, "markov_equivalent", boom)
+        # pag_of_mag tests equivalence itself, so the PAG is built first
         pag = instrument_pag()
         data = instrument_data(300, 2)
+        monkeypatch.setattr(confinder.magspace, "markov_equivalent", boom)
         best, trace = hclcv(pag, data, SearchConfig(strategy="hclcv"))
         assert trace.stop_reason == "local-maximum"
         with pytest.raises(AssertionError):

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 
 import numpy as np
 import pytest
@@ -319,6 +320,21 @@ def test_restarts_never_hurt():
     _s5, five = run_vbem(model, data, restarts=5, seed=0)
     assert five.elbo >= one.elbo - 1e-9
     assert five.restarts_used == 5
+
+
+def test_deadline_cuts_the_fit_short():
+    model = chain_model()
+    data = dataset_for(model, random.Random(4), 30)
+    full_state, full = run_vbem(model, data, seed=7)
+    late_state, late = run_vbem(model, data, seed=7, deadline=time.monotonic() + 3600)
+    assert late == full
+    assert late_state.elbo_trace == full_state.elbo_trace
+
+    state, report = run_vbem(model, data, seed=7, deadline=time.monotonic() - 1)
+    # only the first restart's initial bound, which the returned state gives
+    assert (report.iterations, report.restarts_used) == (1, 1)
+    assert not report.converged
+    assert elbo(model, data, state) == pytest.approx(report.elbo, abs=1e-9)
 
 
 def single_latent_models():
