@@ -71,7 +71,6 @@ from confinder.search import (
     Strategy,
     TraceEntry,
     run_search,
-    state_search,
 )
 from confinder.seeds import derive_seed
 from confinder.vbem import (
@@ -82,7 +81,6 @@ from confinder.vbem import (
     elbo,
     p_elbo,
     run_vbem,
-    score_subgraph,
     vb_e_step,
     vb_m_step,
 )

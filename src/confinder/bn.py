@@ -2,8 +2,8 @@
 
 These are the generators for synthetic experiments: a discrete DAG model
 with explicit CPTs, sampled in ancestral order. Parent configurations are
-indexed mixed-radix over the sorted parent names with the rightmost name
-varying fastest, matching the fitting machinery.
+indexed by ``vbem.parent_strides`` over the sorted parent names, the same
+order the fits use.
 """
 from __future__ import annotations
 
@@ -13,18 +13,9 @@ from typing import Dict, Iterable, Iterator, Mapping, Tuple
 import numpy as np
 
 from confinder.graphs import GraphKind, MixedGraph, require_valid
-from confinder.vbem import Dataset
+from confinder.vbem import Dataset, parent_strides
 
 PROBABILITY_TOLERANCE = 1e-9
-
-
-def parent_strides(parents: Tuple[str, ...], cards: Mapping[str, int]) -> Dict[str, int]:
-    strides = {}
-    running = 1
-    for parent in reversed(parents):
-        strides[parent] = running
-        running *= cards[parent]
-    return strides
 
 
 def parent_configurations(

@@ -32,8 +32,12 @@ class LatentizationError(ConfinderError, ValueError):
 
 
 class InconsistentStateError(ConfinderError, ValueError):
-    """A variational state's parameter posteriors do not match its
-    responsibilities; the closed-form bound would be wrong, so we refuse."""
+    """An internal invariant failed: a program fault, not bad input.
+
+    Raised when a variational state's parameter posteriors do not match its
+    responsibilities (the closed-form bound would be wrong, so we refuse),
+    when responsibilities are not distributions or a bound trace decreases,
+    and when a search trace contradicts its winner or stop reason."""
 
 
 class DataBindingError(ConfinderError, ValueError):

@@ -199,20 +199,6 @@ class MixedGraph:
             out -= seeds
         return frozenset(out)
 
-    def descendants(self, nodes: Iterable[str], include_self: bool = True) -> FrozenSet[str]:
-        seeds = {nodes} if isinstance(nodes, str) else set(nodes)
-        idx = _index(self)
-        out = set(seeds)
-        stack = list(seeds)
-        while stack:
-            for c in idx.children[stack.pop()]:
-                if c not in out:
-                    out.add(c)
-                    stack.append(c)
-        if not include_self:
-            out -= seeds
-        return frozenset(out)
-
     def is_ancestor(self, x: str, y: str) -> bool:
         """True iff a directed path x --> ... --> y of length >= 1 exists."""
         return x != y and x in self.ancestors({y}, include_self=False)
@@ -250,14 +236,6 @@ class MixedGraph:
             raise KeyError(f"no edge between {x!r} and {y!r}")
         edges = tuple(e if e.pair != edge.pair else e.with_mark_at(x, mark) for e in self.edges)
         return MixedGraph(self.kind, self.nodes, edges)
-
-    def induced(self, keep: Iterable[str]) -> "MixedGraph":
-        keep = set(keep)
-        return MixedGraph(
-            self.kind,
-            tuple(n for n in self.nodes if n in keep),
-            tuple(e for e in self.edges if e.a in keep and e.b in keep),
-        )
 
 
 class _Index:

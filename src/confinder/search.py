@@ -11,10 +11,10 @@ Two strategies share one scoring session:
   equivalence, preferring fewer bi-directed edges.
 
 Both finish by greedily growing latent cardinalities (judged on the
-penalized subgraph score, whose deltas equal full-bound deltas) and report
-the best model over everything visited. Fits are seeded per model
-fingerprint, so a model scores identically wherever it is encountered, and
-every evaluation is logged in an anytime trace.
+p-ELBO, like every other comparison) and report the best model over
+everything visited. Fits are seeded per model fingerprint, so a model
+scores identically wherever it is encountered, and every evaluation is
+logged in an anytime trace.
 """
 from __future__ import annotations
 
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, List, Optional, Tuple
 
-from confinder.errors import ConstructionError
+from confinder.errors import ConstructionError, InconsistentStateError
 from confinder.graphs import GraphKind, MixedGraph, require_valid
 from confinder.latentize import LatentizedDag, latentize_min
 from confinder.magspace import (
@@ -43,7 +43,6 @@ from confinder.vbem import (
     ScoreReport,
     VariationalState,
     run_vbem,
-    score_subgraph,
 )
 
 SCORE_TOLERANCE = 1e-6
@@ -154,15 +153,15 @@ class SearchTrace:
     def __post_init__(self):
         self.entries = tuple(self.entries)
         if not self.entries:
-            raise ValueError("a trace needs at least one entry")
+            raise InconsistentStateError("a trace needs at least one entry")
         if self.stop_reason not in STOP_REASONS:
-            raise ValueError(f"unknown stop reason {self.stop_reason!r}")
+            raise InconsistentStateError(f"unknown stop reason {self.stop_reason!r}")
         for earlier, later in zip(self.entries, self.entries[1:]):
             if later.seconds < earlier.seconds:
-                raise ValueError("trace timestamps must be non-decreasing")
+                raise InconsistentStateError("trace timestamps must be non-decreasing")
         top = max(entry.p_elbo for entry in self.entries)
         if self.best.p_elbo != top:
-            raise ValueError("best model does not match the trace maximum")
+            raise InconsistentStateError("best model does not match the trace maximum")
 
 
 def model_id(model: LatentizedDag) -> str:
@@ -192,7 +191,6 @@ class _Session:
         self.deadline = self.started + cfg.budget_seconds
         self.entries: List[TraceEntry] = []
         self.cache: Dict[str, ScoredModel] = {}
-        self.subgraph_scores: Dict[str, float] = {}
         self.best: Optional[ScoredModel] = None
         self.budget_hit = False
 
@@ -237,34 +235,15 @@ class _Session:
             self.best = scored
         return scored
 
-    def penalized_subgraph(self, scored: ScoredModel) -> float:
-        """Subgraph score of all latents minus the label-symmetry penalty.
-
-        Deltas of this value between models sharing the observed families
-        equal deltas of the full penalized bound.
-        """
-        cached = self.subgraph_scores.get(scored.model_id)
-        if cached is None:
-            sub = score_subgraph(
-                scored.model,
-                self.data,
-                scored.state,
-                scored.model.spec.names,
-                prior=self.prior,
-            )
-            cached = sub - (scored.report.elbo - scored.report.p_elbo)
-            self.subgraph_scores[scored.model_id] = cached
-        return cached
-
     def trace(self, stop_reason: str) -> SearchTrace:
         return SearchTrace(tuple(self.entries), self.best, stop_reason)
 
 
 def _greedy_states(session: _Session, start: ScoredModel) -> ScoredModel:
-    """Grow each latent's cardinality while the penalized subgraph improves.
+    """Grow each latent's cardinality while the p-ELBO improves.
 
     Latents are visited in canonical order; each keeps gaining one state
-    until the score stops improving or the cap is reached. Every candidate
+    until the p-ELBO stops improving or the cap is reached. Every candidate
     is a full refit, so the returned model's report is self-contained.
     """
     current = start
@@ -276,22 +255,11 @@ def _greedy_states(session: _Session, start: ScoredModel) -> ScoredModel:
                 {latent: current.model.spec.states_of(latent) + 1}
             )
             candidate = session.score(bumped)
-            if (
-                session.penalized_subgraph(candidate)
-                > session.penalized_subgraph(current) + SCORE_TOLERANCE
-            ):
+            if candidate.p_elbo > current.p_elbo + SCORE_TOLERANCE:
                 current = candidate
             else:
                 break
     return current
-
-
-def state_search(model: ScoredModel, data: Dataset, cfg: SearchConfig) -> ScoredModel:
-    """Standalone greedy cardinality search starting from a fitted model."""
-    session = _Session(data, cfg)
-    session.cache[model.model_id] = model
-    session.best = model
-    return _greedy_states(session, model)
 
 
 def ilcv(

@@ -32,8 +32,8 @@ import functools
 import itertools
 import math
 import time
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterable, Mapping, Optional, Tuple
 
 import numpy as np
 from scipy.special import digamma, gammaln, xlogy
@@ -123,32 +123,17 @@ class Dataset:
 
 @dataclass(frozen=True, eq=False)
 class FamilyPrior:
-    """Dirichlet hyperparameters per family; uniform alpha=1 by default.
-
-    ``tables`` may pin explicit (parent-config x state) arrays for specific
-    nodes; everything else is filled with the scalar ``alpha``.
-    """
+    """Dirichlet hyperparameters: every entry of every family's
+    (parent configuration x state) table is the scalar ``alpha``."""
 
     alpha: float = 1.0
-    tables: Mapping[str, np.ndarray] = field(default_factory=dict)
 
     def __post_init__(self):
         if not (self.alpha > 0):
             raise ValueError("alpha must be positive")
-        for name, table in self.tables.items():
-            if np.any(np.asarray(table) <= 0):
-                raise ValueError(f"prior table for {name!r} must be positive")
 
-    def for_family(self, node: str, shape: Tuple[int, int]) -> np.ndarray:
-        table = self.tables.get(node)
-        if table is None:
-            return np.full(shape, float(self.alpha))
-        table = np.asarray(table, dtype=float)
-        if table.shape != shape:
-            raise ValueError(
-                f"prior table for {node!r} has shape {table.shape}, expected {shape}"
-            )
-        return table.copy()
+    def for_family(self, shape: Tuple[int, int]) -> np.ndarray:
+        return np.full(shape, float(self.alpha))
 
 
 @dataclass(eq=False)
@@ -163,13 +148,13 @@ class VariationalState:
         self.elbo_trace = tuple(float(v) for v in self.elbo_trace)
         for name, q in self.q_latent.items():
             if np.any(q < 0):
-                raise ValueError(f"negative responsibilities for {name!r}")
+                raise InconsistentStateError(f"negative responsibilities for {name!r}")
             sums = q.sum(axis=1)
             if np.any(np.abs(sums - 1.0) > 1e-9):
-                raise ValueError(f"responsibilities for {name!r} are not normalized")
+                raise InconsistentStateError(f"responsibilities for {name!r} are not normalized")
         for earlier, later in zip(self.elbo_trace, self.elbo_trace[1:]):
             if later < earlier - TRACE_SLACK:
-                raise ValueError(
+                raise InconsistentStateError(
                     f"bound decreased along the trace: {earlier} -> {later}"
                 )
 
@@ -187,6 +172,20 @@ class ScoreReport:
     iterations: int
     converged: bool
     restarts_used: int
+
+
+def parent_strides(parents: Tuple[str, ...], cards: Mapping[str, int]) -> Dict[str, int]:
+    """Each parent's weight in the flat parent-configuration index.
+
+    The index is mixed radix over the sorted parent tuple, rightmost
+    parent varying fastest; fitting, sampling and the model file all use it.
+    """
+    strides = {}
+    running = 1
+    for parent in reversed(parents):
+        strides[parent] = running
+        running *= cards[parent]
+    return strides
 
 
 class _Family:
@@ -209,11 +208,7 @@ class _Family:
                  latent_names, prior: FamilyPrior):
         self.node = node
         self.node_card = node_card
-        strides = {}
-        running = 1
-        for parent in reversed(parents):
-            strides[parent] = running
-            running *= cards[parent]
+        strides = parent_strides(parents, cards)
         self.latent_parents = tuple(p for p in parents if p in latent_names)
         self.latent_strides = {p: strides[p] for p in self.latent_parents}
         obs_index = np.zeros(len(weights), dtype=np.int64)
@@ -230,7 +225,9 @@ class _Family:
         self.skip_configs = {
             l: self._configurations(cards, skip=l) for l in self.latent_parents
         }
-        self.prior = prior.for_family(node, (running, node_card))
+        self.prior = prior.for_family(
+            (math.prod(cards[p] for p in parents), node_card)
+        )
         if self.cells is not None and not self.latent_parents:
             counts = np.bincount(self.cells, weights=weights, minlength=self.prior.size)
             self.static_posterior = self.prior + counts.reshape(self.prior.shape)
@@ -606,38 +603,3 @@ def run_vbem(
         restarts_used=started,
     )
     return state, report
-
-
-def score_subgraph(
-    model: LatentizedDag,
-    data: Dataset,
-    state: VariationalState,
-    latents_of_interest: Sequence[str],
-    prior: Optional[FamilyPrior] = None,
-) -> float:
-    """Bound contribution of the listed latents and their children.
-
-    Sums the family terms of those nodes plus the listed latents' entropy.
-    Between two models that agree outside this subgraph, differences of
-    this score equal differences of the full bound, so it stands in for the
-    bound when comparing latent cardinalities locally.
-    """
-    interest = sorted(set(latents_of_interest))
-    known = set(model.spec.names)
-    unknown = [l for l in interest if l not in known]
-    if unknown:
-        raise ValueError(f"unknown latents: {unknown}")
-    binding = _bind_every_row(model, data, prior)
-    binding.check_q_theta(state.q_theta)
-    binding.check_q_latent(state.q_latent)
-    _check_fixed_point(binding, state.q_theta, state.q_latent)
-    scope = set(interest)
-    for latent in interest:
-        scope.update(model.dag.children(latent))
-    total = 0.0
-    for node in sorted(scope):
-        prior_table = binding.families[node].prior
-        total += float(np.sum(_log_beta(state.q_theta[node]) - _log_beta(prior_table)))
-    for latent in interest:
-        total += _entropy(binding.weights, state.q_latent[latent])
-    return total

@@ -1,7 +1,8 @@
 """Command-line behavior: outputs, round trips, exit codes."""
 import pytest
 
-from confinder.cli import EXIT_BUDGET, EXIT_OK, EXIT_VALIDATION, main
+from confinder import cli
+from confinder.cli import EXIT_BUDGET, EXIT_INTERNAL, EXIT_OK, EXIT_VALIDATION, main
 from confinder.fileio import (
     parse_data,
     parse_latentized,
@@ -9,6 +10,7 @@ from confinder.fileio import (
     parse_report,
     parse_trace,
 )
+from confinder.search import SearchTrace
 
 TRUTH_MODEL = """\
 node A 2
@@ -332,6 +334,15 @@ class TestExitCodes:
                 ]
             )
         assert exc.value.code == 2
+
+    def test_broken_search_invariant_is_internal(self, workdir, monkeypatch, capsys):
+        def broken_search(pag, data, cfg):
+            return None, SearchTrace((), None, "converged")
+
+        monkeypatch.setattr(cli, "run_search", broken_search)
+        code = main(["learn", str(workdir / "true.pag"), str(workdir / "data.csv")])
+        assert code == EXIT_INTERNAL
+        assert "internal error" in capsys.readouterr().err
 
     def test_sample_size_validation(self, workdir, capsys):
         code = main(["sample", str(workdir / "truth.model"), "-n", "0"])

@@ -13,13 +13,11 @@ from confinder.graphs import Edge, GraphKind, MixedGraph
 from confinder.latentize import Latent, LatentSpec, latentize_min
 from confinder.vbem import (
     Dataset,
-    FamilyPrior,
     ScoreReport,
     VariationalState,
     elbo,
     p_elbo,
     run_vbem,
-    score_subgraph,
     vb_e_step,
     vb_m_step,
 )
@@ -400,62 +398,9 @@ def test_fitted_state_reproduces_the_reported_bound():
 
 
 def test_state_invariants_are_enforced():
-    with pytest.raises(ValueError, match="normalized"):
+    with pytest.raises(InconsistentStateError, match="normalized"):
         VariationalState({}, {"_L1": np.array([[0.7, 0.7]])})
-    with pytest.raises(ValueError, match="negative"):
+    with pytest.raises(InconsistentStateError, match="negative"):
         VariationalState({}, {"_L1": np.array([[1.2, -0.2]])})
-    with pytest.raises(ValueError, match="decreased"):
+    with pytest.raises(InconsistentStateError, match="decreased"):
         VariationalState({}, {}, (1.0, 0.5))
-
-
-# -- score_subgraph -----------------------------------------------------------------
-
-def test_full_coverage_subgraph_equals_bound():
-    model = pair_model()
-    rng = random.Random(4)
-    data = dataset_for(model, rng, 12)
-    state, report = run_vbem(model, data)
-    assert math.isclose(
-        score_subgraph(model, data, state, ["_L1"]), report.elbo, rel_tol=1e-12
-    )
-
-
-def test_empty_subgraph_scores_zero():
-    model = pair_model()
-    data = Dataset([("A", 2), ("B", 2)], [[0, 1]])
-    state, _report = run_vbem(model, data)
-    assert score_subgraph(model, data, state, []) == 0.0
-
-
-def test_unknown_latent_is_rejected():
-    model = pair_model()
-    data = Dataset([("A", 2), ("B", 2)], [[0, 1]])
-    state, _report = run_vbem(model, data)
-    with pytest.raises(ValueError, match="unknown"):
-        score_subgraph(model, data, state, ["_L9"])
-
-
-def test_subgraph_differences_track_bound_differences():
-    # A <-> B with an extra observed edge C --> A and a spectator family D:
-    # the C and D families sit outside the subgraph and are static
-    source = mag(
-        "ABCD",
-        Edge.bidirected("A", "B"),
-        Edge.directed("C", "A"),
-        Edge.directed("C", "D"),
-    )
-    base = latentize_min(source)
-    rng = random.Random(21)
-    names = base.observed
-    rows = [[rng.randrange(2) for _ in names] for _ in range(40)]
-    data = Dataset([(n, 2) for n in names], rows)
-
-    two = base
-    three = base.with_states({"_L1": 3})
-    state2, report2 = run_vbem(two, data, seed=1)
-    state3, report3 = run_vbem(three, data, seed=1)
-    delta_full = report3.elbo - report2.elbo
-    delta_sub = score_subgraph(three, data, state3, ["_L1"]) - score_subgraph(
-        two, data, state2, ["_L1"]
-    )
-    assert math.isclose(delta_sub, delta_full, abs_tol=1e-6)
