@@ -540,17 +540,18 @@ def maximal_augmentation(mag: MixedGraph) -> MixedGraph:
     return MixedGraph(mag.kind, mag.nodes, mag.edges + added) if added else mag
 
 
-def _is_collider(graph: MixedGraph, a: str, b: str, c: str) -> bool:
+def is_collider(graph: MixedGraph, a: str, b: str, c: str) -> bool:
+    """Do the edges a *-* b and b *-* c both have an arrowhead at b?"""
     return graph.mark_between(b, a) is Mark.ARROW and graph.mark_between(b, c) is Mark.ARROW
 
 
-def _unshielded_colliders(graph: MixedGraph) -> FrozenSet[Tuple[str, str, str]]:
-    """(a, b, c) with a < c, a *-> b <-* c and a, c non-adjacent."""
-    return frozenset(
+def unshielded_triples(graph: MixedGraph) -> Tuple[Tuple[str, str, str], ...]:
+    """(a, b, c) with a < c, both adjacent to b and not to each other."""
+    return tuple(
         (a, b, c)
         for b in graph.nodes
         for a, c in itertools.combinations(graph.adjacent(b), 2)
-        if not graph.has_edge(a, c) and _is_collider(graph, a, b, c)
+        if not graph.has_edge(a, c)
     )
 
 
@@ -571,7 +572,7 @@ def _discriminating_paths(graph: MixedGraph) -> Dict[Tuple[str, ...], bool]:
                 continue
             if not graph.has_edge(w, y):
                 path = tuple(reversed(trail + (w,)))
-                found[path] = _is_collider(graph, trail[2], trail[1], y)
+                found[path] = is_collider(graph, trail[2], trail[1], y)
             elif w in parents_of_y and graph.mark_between(w, q) is Mark.ARROW:
                 grow(trail + (w,), y, parents_of_y)
 
@@ -582,6 +583,32 @@ def _discriminating_paths(graph: MixedGraph) -> Dict[Tuple[str, ...], bool]:
                 if q in parents_of_y and graph.mark_between(q, v) is Mark.ARROW:
                     grow((y, v, q), y, parents_of_y)
     return found
+
+
+class _Invariants:
+    """What decides a MAG's Markov equivalence class: the skeleton of its
+    maximal augmentation, that graph's unshielded colliders, and the
+    collider status on each of its discriminating paths."""
+
+    __slots__ = ("skeleton", "colliders", "paths")
+
+    def __init__(self, mag: MixedGraph):
+        augmented = maximal_augmentation(mag)
+        self.skeleton = frozenset(e.pair for e in augmented.edges)
+        self.colliders = frozenset(
+            t for t in unshielded_triples(augmented) if is_collider(augmented, *t)
+        )
+        self.paths = _discriminating_paths(augmented)
+
+
+def _invariants(mag: MixedGraph) -> _Invariants:
+    # kept on the instance like the adjacency index: enumeration compares
+    # every candidate with the same reference graph
+    inv = mag.__dict__.get("_inv")
+    if inv is None:
+        inv = _Invariants(mag)
+        object.__setattr__(mag, "_inv", inv)
+    return inv
 
 
 def markov_equivalent(mag_a: MixedGraph, mag_b: MixedGraph) -> bool:
@@ -598,12 +625,8 @@ def markov_equivalent(mag_a: MixedGraph, mag_b: MixedGraph) -> bool:
     require_valid(mag_b, GraphKind.MAG, "mag_b")
     if mag_a.nodes != mag_b.nodes:
         raise ValueError("markov_equivalent requires identical node sets")
-    a = maximal_augmentation(mag_a)
-    b = maximal_augmentation(mag_b)
-    if {e.pair for e in a.edges} != {e.pair for e in b.edges}:
+    a = _invariants(mag_a)
+    b = _invariants(mag_b)
+    if a.skeleton != b.skeleton or a.colliders != b.colliders:
         return False
-    if _unshielded_colliders(a) != _unshielded_colliders(b):
-        return False
-    paths_a = _discriminating_paths(a)
-    paths_b = _discriminating_paths(b)
-    return all(paths_a[p] == paths_b[p] for p in paths_a.keys() & paths_b.keys())
+    return all(a.paths[p] == b.paths[p] for p in a.paths.keys() & b.paths.keys())

@@ -23,8 +23,10 @@ from confinder.graphs import (
     Mark,
     MixedGraph,
     has_inducing_path,
+    is_collider,
     markov_equivalent,
     require_valid,
+    unshielded_triples,
     validate,
 )
 
@@ -118,17 +120,6 @@ def enumerate_mags(pag: MixedGraph, limit: Optional[int] = ENUMERATION_LIMIT) ->
     ]
 
 
-def _unshielded_triples(graph: MixedGraph) -> Tuple[Tuple[str, str, str], ...]:
-    """(a, b, c) with a-b, b-c edges, a and c non-adjacent, a < c."""
-    triples = []
-    for b in graph.nodes:
-        neigh = graph.adjacent(b)
-        for a, c in itertools.combinations(neigh, 2):
-            if not graph.has_edge(a, c):
-                triples.append((a, b, c))
-    return tuple(triples)
-
-
 def reference_mag(pag: MixedGraph) -> MixedGraph:
     """One deterministic MAG completion of the PAG, anchoring its class.
 
@@ -144,11 +135,8 @@ def reference_mag(pag: MixedGraph) -> MixedGraph:
     if not slots:
         return pag.with_kind(GraphKind.MAG)
 
-    triples = _unshielded_triples(pag)
-    pag_collider = {
-        (a, b, c): pag.mark_between(b, a) is Mark.ARROW and pag.mark_between(b, c) is Mark.ARROW
-        for (a, b, c) in triples
-    }
+    # unshielded triples the PAG does not orient as colliders must not become ones
+    non_colliders = tuple(t for t in unshielded_triples(pag) if not is_collider(pag, *t))
 
     def consistent(marks: Dict[Slot, Mark]) -> bool:
         g = _complete(pag, marks, kind=GraphKind.PAG)
@@ -163,12 +151,7 @@ def reference_mag(pag: MixedGraph) -> MixedGraph:
         for a, b in g.bidirected_edges():
             if g.is_ancestor(a, b) or g.is_ancestor(b, a):
                 return False
-        for (a, b, c) in triples:
-            if pag_collider[(a, b, c)]:
-                continue
-            if g.mark_between(b, a) is Mark.ARROW and g.mark_between(b, c) is Mark.ARROW:
-                return False
-        return True
+        return not any(is_collider(g, *t) for t in non_colliders)
 
     deepest_failure = 0
 

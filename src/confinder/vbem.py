@@ -19,6 +19,13 @@ For latent-free models this is exactly the conjugate log marginal
 likelihood. The fitted ``q_latent`` is returned per observation (one row
 per data row), and the public step functions bind every row with weight 1.
 
+Every family, latent or not, is fitted through one table of cells: one
+row per data row and one column per joint configuration of the family's
+latents, each entry the (parent configuration, state) cell the row lands
+in. The VB-M step adds each row's weight times the joint responsibility
+of every column to its cell; the VB-E step gathers the expected log
+parameters of those cells and sums out the other latents' responsibilities.
+
 The searched objective adds a label-symmetry penalty:
 p-ELBO = ELBO - sum_i log(|L_i|!), cancelling the |L_i|! equivalent
 relabelings of each latent's states.
@@ -29,7 +36,6 @@ runs are bit-identical.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import time
 from dataclasses import dataclass
@@ -191,62 +197,39 @@ def parent_strides(parents: Tuple[str, ...], cards: Mapping[str, int]) -> Dict[s
 class _Family:
     """One node's conditional family bound to the rows of a binding.
 
-    Parent configurations are flattened by mixed radix over the sorted
-    parent tuple; per-row contributions from observed parents are
-    precomputed as flat (configuration, state) cells, and each latent
-    parent configuration adds a fixed offset to them. The prior table and,
-    for latent-free families, the posterior table are constants of the
-    binding.
+    ``members`` are the family's latents in sorted order: its latent
+    parents, plus the node itself when it is latent. ``cells`` holds, for
+    every row and every joint configuration of the members (mixed radix,
+    last member varying fastest), the flat index into the (parent
+    configuration x state) table that the row lands in. A latent root thus
+    has the columns 0..k-1 and a latent-free family a single column. The
+    prior table and, for latent-free families, the posterior table are
+    constants of the binding.
     """
 
-    __slots__ = (
-        "node", "node_card", "latent_parents", "latent_strides",
-        "cells", "configs", "skip_configs", "prior", "static_posterior",
-    )
+    __slots__ = ("node", "members", "cells", "prior", "static_posterior")
 
-    def __init__(self, node, node_card, parents, cards, columns, weights,
-                 latent_names, prior: FamilyPrior):
+    def __init__(self, node, parents, cards, columns, weights, latent_names,
+                 prior: FamilyPrior):
         self.node = node
-        self.node_card = node_card
-        strides = parent_strides(parents, cards)
-        self.latent_parents = tuple(p for p in parents if p in latent_names)
-        self.latent_strides = {p: strides[p] for p in self.latent_parents}
-        obs_index = np.zeros(len(weights), dtype=np.int64)
-        for parent in parents:
-            if parent not in latent_names:
-                obs_index += strides[parent] * columns[parent]
-        # flat index into the (parent configuration x state) table; None for
-        # a latent node, whose family is its root prior
-        self.cells = (
-            None if node in latent_names
-            else obs_index * node_card + columns[node]
-        )
-        self.configs = self._configurations(cards)
-        self.skip_configs = {
-            l: self._configurations(cards, skip=l) for l in self.latent_parents
-        }
-        self.prior = prior.for_family(
-            (math.prod(cards[p] for p in parents), node_card)
-        )
-        if self.cells is not None and not self.latent_parents:
-            counts = np.bincount(self.cells, weights=weights, minlength=self.prior.size)
+        card = cards[node]
+        # each variable's weight in the flat (configuration, state) index
+        place = {p: stride * card for p, stride in parent_strides(parents, cards).items()}
+        place[node] = 1
+        self.members = tuple(sorted(n for n in place if n in latent_names))
+        observed = np.zeros(len(weights), dtype=np.int64)
+        for name, weight in place.items():
+            if name not in latent_names:
+                observed += weight * columns[name]
+        offsets = np.zeros(1, dtype=np.int64)
+        for member in self.members:
+            offsets = (offsets[:, None] + place[member] * np.arange(cards[member])).ravel()
+        self.cells = observed[:, None] + offsets
+        self.prior = prior.for_family((math.prod(cards[p] for p in parents), card))
+        self.static_posterior = None
+        if not self.members:
+            counts = np.bincount(self.cells[:, 0], weights=weights, minlength=self.prior.size)
             self.static_posterior = self.prior + counts.reshape(self.prior.shape)
-        else:
-            self.static_posterior = None
-
-    def _configurations(self, cards, skip=None):
-        """(names, states, flat cell offset) per latent-parent configuration."""
-        names = tuple(p for p in self.latent_parents if p != skip)
-        return tuple(
-            (
-                names,
-                combo,
-                self.node_card * sum(
-                    self.latent_strides[p] * s for p, s in zip(names, combo)
-                ),
-            )
-            for combo in itertools.product(*(range(cards[p]) for p in names))
-        )
 
 
 class _Binding:
@@ -271,7 +254,6 @@ class _Binding:
             raise DataBindingError("; ".join(parts))
         self.n_rows = rows.shape[0]
         self.weights = weights
-        self.ones = np.ones(self.n_rows)
         self.latent_names = tuple(sorted(model.spec.names))
         self.latent_cards = {l.name: l.states for l in model.spec.latents}
         cards = dict(self.latent_cards)
@@ -282,24 +264,17 @@ class _Binding:
         self.families = {}
         for node in sorted(model.dag.nodes):
             self.families[node] = _Family(
-                node, cards[node], model.dag.parents(node), cards, columns,
-                weights, latent_set, prior,
+                node, model.dag.parents(node), cards, columns, weights,
+                latent_set, prior,
             )
         # families whose tables depend on the responsibilities
         self.dynamic = tuple(
             f for f in self.families.values() if f.static_posterior is None
         )
-        # families in which each latent participates as a parent, with the
-        # cells of every state of that latent
+        # the families each latent belongs to, its own root family first
         self.touching = {
-            l: tuple(
-                (
-                    f,
-                    f.cells[:, None]
-                    + f.node_card * f.latent_strides[l] * np.arange(cards[l]),
-                )
-                for f in self.families.values()
-                if l in f.latent_parents
+            l: (self.families[l],) + tuple(
+                f for f in self.families.values() if l in f.members and f.node != l
             )
             for l in self.latent_names
         }
@@ -355,10 +330,14 @@ def _expected_log_theta(table: np.ndarray) -> np.ndarray:
         return digamma(table) - digamma(table.sum(axis=1, keepdims=True))
 
 
-def _config_weights(q_latent, names, combo, w: np.ndarray) -> np.ndarray:
-    for name, state in zip(names, combo):
-        w = w * q_latent[name][:, state]
-    return w
+def _member_operands(family: _Family, q_latent, skip=None) -> list:
+    """``np.einsum`` operands that put each member's responsibilities (but
+    ``skip``'s) on the member's axis of the row x configuration cells."""
+    operands = []
+    for axis, member in enumerate(family.members, 1):
+        if member != skip:
+            operands += [q_latent[member], [0, axis]]
+    return operands
 
 
 def _e_step(binding: _Binding, q_theta, q_latent) -> Dict[str, np.ndarray]:
@@ -366,12 +345,15 @@ def _e_step(binding: _Binding, q_theta, q_latent) -> Dict[str, np.ndarray]:
     elog = {f.node: _expected_log_theta(q_theta[f.node]).ravel() for f in binding.dynamic}
     updated = dict(q_latent)
     for latent in binding.latent_names:
-        log_q = np.tile(elog[latent], (binding.n_rows, 1))
-        for family, cells in binding.touching[latent]:
-            table = elog[family.node]
-            for names, combo, offset in family.skip_configs[latent]:
-                w = _config_weights(updated, names, combo, binding.ones)
-                log_q += w[:, None] * table[cells + offset]
+        log_q = 0.0
+        for family in binding.touching[latent]:
+            shape = [binding.latent_cards[m] for m in family.members]
+            gathered = elog[family.node][family.cells].reshape(binding.n_rows, *shape)
+            log_q = log_q + np.einsum(
+                gathered, [0, *range(1, len(shape) + 1)],
+                *_member_operands(family, updated, skip=latent),
+                [0, 1 + family.members.index(latent)],
+            )
         if not np.all(np.isfinite(log_q)):
             raise InconsistentStateError(
                 f"non-finite responsibilities for {latent!r}; q_theta is degenerate"
@@ -388,15 +370,14 @@ def _m_step(binding: _Binding, q_latent) -> Dict[str, np.ndarray]:
         if family.static_posterior is not None:
             q_theta[node] = family.static_posterior.copy()
             continue
-        table = family.prior.copy()
-        if family.cells is None:
-            table[0] += np.einsum("m,mk->k", binding.weights, q_latent[node])
-        else:
-            flat = table.reshape(-1)
-            for names, combo, offset in family.configs:
-                w = _config_weights(q_latent, names, combo, binding.weights)
-                flat += np.bincount(family.cells + offset, weights=w, minlength=flat.size)
-        q_theta[node] = table
+        joint = np.einsum(
+            binding.weights, [0], *_member_operands(family, q_latent),
+            [0, *range(1, len(family.members) + 1)],
+        )
+        counts = np.bincount(
+            family.cells.ravel(), weights=joint.ravel(), minlength=family.prior.size
+        )
+        q_theta[node] = family.prior + counts.reshape(family.prior.shape)
     return q_theta
 
 

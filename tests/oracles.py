@@ -9,10 +9,12 @@ row. Only usable on small inputs, which is exactly what the tests feed it.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from typing import FrozenSet, Iterable, Iterator, List, Sequence, Tuple
 
 import numpy as np
+from scipy.special import digamma, gammaln
 
 from confinder.graphs import Edge, GraphKind, Mark, MixedGraph, ci_signature, validate
 from confinder.latentize import Latent, LatentizedDag, LatentSpec
@@ -212,8 +214,6 @@ def random_maximal_mag(
 # -- exact Bayesian scores, pure python ---------------------------------------
 
 def _log_beta(vec) -> float:
-    import math
-
     return sum(math.lgamma(v) for v in vec) - math.lgamma(sum(vec))
 
 
@@ -243,8 +243,6 @@ def exact_latent_marginal(cards, parents, observed_rows, latent_names, alpha=1.0
 
     Exponential in rows x latents; callers keep instances tiny.
     """
-    import math
-
     latent_names = list(latent_names)
     combos = list(itertools.product(*[range(cards[l]) for l in latent_names]))
     scores = []
@@ -328,3 +326,134 @@ def reference_vbem(
                 break
         fits.append(VariationalState(q_theta, q_latent, tuple(trace)))
     return fits
+
+
+# -- literal VB steps: one row and one joint latent configuration at a time ----
+
+def _cards(model: LatentizedDag, data: Dataset) -> dict:
+    cards = {name: data.cardinality(name) for name in data.names}
+    cards.update((l.name, l.states) for l in model.spec.latents)
+    return cards
+
+
+def _cell(model: LatentizedDag, cards: dict, node: str, values: dict) -> Tuple[int, int]:
+    """(parent configuration, state) of ``node`` under a full assignment;
+    configurations count over the sorted parents, the last one fastest."""
+    config = 0
+    for parent in model.dag.parents(node):
+        config = config * cards[parent] + values[parent]
+    return config, values[node]
+
+
+def _completions(model: LatentizedDag, data: Dataset, cards: dict, names):
+    """Every (row index, full assignment) with the latents ``names`` set to
+    each joint configuration in turn."""
+    for i in range(data.n_rows):
+        observed = {name: int(data.column(name)[i]) for name in data.names}
+        for combo in itertools.product(*(range(cards[n]) for n in names)):
+            yield i, combo, dict(observed, **dict(zip(names, combo)))
+
+
+def _expected_log(q_theta):
+    return {
+        node: digamma(t) - digamma(t.sum(axis=1, keepdims=True))
+        for node, t in q_theta.items()
+    }
+
+
+def m_step_oracle(model: LatentizedDag, data: Dataset, q_latent, alpha: float = 1.0):
+    """Prior plus expected counts: every row and joint configuration of all
+    latents adds its responsibility product to one cell of every family."""
+    cards = _cards(model, data)
+    latents = sorted(model.spec.names)
+    tables = {
+        node: np.full(
+            (int(np.prod([cards[p] for p in model.dag.parents(node)])), cards[node]),
+            float(alpha),
+        )
+        for node in model.dag.nodes
+    }
+    for i, combo, values in _completions(model, data, cards, latents):
+        weight = 1.0
+        for name, state in zip(latents, combo):
+            weight *= q_latent[name][i, state]
+        for node in model.dag.nodes:
+            tables[node][_cell(model, cards, node, values)] += weight
+    return tables
+
+
+def e_step_oracle(model: LatentizedDag, data: Dataset, q_theta, q_latent):
+    """Sequential mean-field sweep in sorted latent order: each latent's new
+    row responsibility is proportional to exp of the expected log joint of
+    the row over the other latents' current responsibilities."""
+    cards = _cards(model, data)
+    elog = _expected_log(q_theta)
+    latents = sorted(model.spec.names)
+    q = {name: np.array(q_latent[name], dtype=float) for name in latents}
+    for latent in latents:
+        others = [name for name in latents if name != latent]
+        scores = np.zeros((data.n_rows, cards[latent]))
+        for state in range(cards[latent]):
+            for i, combo, values in _completions(model, data, cards, others):
+                values[latent] = state
+                weight = 1.0
+                for name, s in zip(others, combo):
+                    weight *= q[name][i, s]
+                scores[i, state] += weight * sum(
+                    elog[node][_cell(model, cards, node, values)]
+                    for node in model.dag.nodes
+                )
+        fresh = np.empty_like(scores)
+        for i, row in enumerate(scores):
+            exps = [math.exp(v - max(row)) for v in row]
+            fresh[i] = [e / sum(exps) for e in exps]
+        q[latent] = fresh
+    return q
+
+
+def elbo_oracle(model: LatentizedDag, data: Dataset, q_theta, q_latent, alpha: float = 1.0) -> float:
+    """The mean-field bound from its definition, valid at any ``q_theta``:
+    expected log joint plus the responsibilities' entropy minus the KL
+    divergence of every posterior Dirichlet row from its prior row."""
+    cards = _cards(model, data)
+    elog = _expected_log(q_theta)
+    latents = sorted(model.spec.names)
+    total = 0.0
+    for i, combo, values in _completions(model, data, cards, latents):
+        weight = 1.0
+        for name, state in zip(latents, combo):
+            weight *= q_latent[name][i, state]
+        total += weight * sum(
+            elog[node][_cell(model, cards, node, values)] for node in model.dag.nodes
+        )
+    for name in latents:
+        total -= sum(p * math.log(p) for p in q_latent[name].ravel() if p > 0)
+    for node in model.dag.nodes:
+        for post in q_theta[node]:
+            prior = np.full(len(post), float(alpha))
+            total -= (
+                gammaln(post.sum()) - gammaln(post).sum()
+                - gammaln(prior.sum()) + gammaln(prior).sum()
+                + float(np.dot(post - prior, digamma(post) - digamma(post.sum())))
+            )
+    return total
+
+
+def three_latent_parent_instance():
+    """B has three latent parents (2, 3 and 2 states) and an observed one;
+    A and C each share one latent with B, D shares two, all observed nodes
+    have 2 or 3 states, and 40 rows are drawn uniformly."""
+    latents = (
+        Latent("_L1", ("A", "B"), 2),
+        Latent("_L2", ("B", "C", "D"), 3),
+        Latent("_L3", ("B", "D"), 2),
+    )
+    edges = [Edge.directed("A", "B")]
+    edges += [Edge.directed(l.name, c) for l in latents for c in l.children]
+    names = ("A", "B", "C", "D")
+    dag = MixedGraph(GraphKind.DAG, names + tuple(l.name for l in latents), tuple(edges))
+    model = LatentizedDag(dag, LatentSpec(latents))
+    cards = {"A": 2, "B": 3, "C": 2, "D": 3}
+    rng = random.Random(3)
+    rows = [[rng.randrange(cards[n]) for n in names] for _ in range(40)]
+    return model, Dataset([(n, cards[n]) for n in names], rows)

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import confinder.graphs
+import confinder.magspace
 from confinder.errors import ConstructionError, EnumerationLimitError
 from confinder.graphs import (
     Edge,
@@ -98,6 +100,33 @@ def test_collider_pag_strata():
     assert strata[0].mags == (
         mag("X1 X2 X3".split(), Edge.directed("X1", "X2"), Edge.directed("X3", "X2")),
     )
+
+
+def test_enumeration_augments_the_reference_once(monkeypatch):
+    source = pag(
+        "ABCDEF",
+        Edge.circle_circle("A", "B"),
+        Edge.circle_circle("B", "C"),
+        Edge.circle_arrow("C", "D"),
+        Edge.bidirected("D", "E"),
+        Edge.circle_arrow("F", "E"),
+    )
+    ref = reference_mag(source)
+    monkeypatch.setattr(confinder.magspace, "reference_mag", lambda _pag: ref)
+    augmented = []
+    original = confinder.graphs.maximal_augmentation
+
+    def counting(graph):
+        augmented.append(graph)
+        return original(graph)
+
+    monkeypatch.setattr(confinder.graphs, "maximal_augmentation", counting)
+    strata = enumerate_mags(source)
+    assert len(all_mags(strata)) > 2
+    assert sum(graph is ref for graph in augmented) == 1
+    # every other augmentation is of a distinct candidate
+    others = [graph for graph in augmented if graph is not ref]
+    assert len(others) == len({id(graph) for graph in others})
 
 
 def test_enumeration_limit_raises():

@@ -464,6 +464,45 @@ class TestDeterminism:
             assert scores_i[mid] == scores_h[mid]
 
 
+class TestPinnedResults:
+    """Search results recorded before the VBEM families moved to one cell
+    table, so a refactor that should not change results is checked by the
+    suite. The stratum-2 models have a child with two latent parents."""
+
+    VISITS = {
+        "ilcv": (
+            "stratum-no-improvement",
+            [
+                (1, "292c43c5be", -2616.860098063772),
+                (2, "88fe42fad2", -2627.1720315137263),
+                (2, "4c954b4596", -2627.0014139382242),
+                (1, "9cae62db7b", -2623.706513278684),
+            ],
+        ),
+        "hclcv": (
+            "local-maximum",
+            [
+                (1, "292c43c5be", -2616.860098063772),
+                (2, "4c954b4596", -2627.0014139382242),
+                (2, "88fe42fad2", -2627.1720315137263),
+                (1, "9cae62db7b", -2623.706513278684),
+            ],
+        ),
+    }
+
+    @pytest.mark.parametrize("strategy", ["ilcv", "hclcv"])
+    def test_instrument_search_keeps_its_recorded_results(self, strategy):
+        best, trace = run_search(
+            instrument_pag(), instrument_data(1000, 5), SearchConfig(strategy=strategy)
+        )
+        stop_reason, visits = self.VISITS[strategy]
+        assert best.model_id == "292c43c5be"
+        assert trace.stop_reason == stop_reason
+        assert [(e.stratum, e.model_id) for e in trace.entries] == [v[:2] for v in visits]
+        for entry, (_stratum, _mid, p_elbo) in zip(trace.entries, visits):
+            assert entry.p_elbo == pytest.approx(p_elbo, rel=1e-9, abs=0.0)
+
+
 class TestEquivalenceCheckUsage:
     def test_hill_climb_never_tests_markov_equivalence(self, monkeypatch):
         def boom(*args, **kwargs):

@@ -22,10 +22,14 @@ from confinder.vbem import (
     vb_m_step,
 )
 from oracles import (
+    e_step_oracle,
+    elbo_oracle,
     exact_conjugate_score,
     exact_latent_marginal,
+    m_step_oracle,
     random_latentized_instance,
     reference_vbem,
+    three_latent_parent_instance,
 )
 
 
@@ -191,6 +195,47 @@ def test_expected_counts_are_conserved(seed):
     q_theta = vb_m_step(model, data, q_latent)
     for node, table in q_theta.items():
         assert math.isclose(float(table.sum() - table.size), data.n_rows, abs_tol=1e-9)
+
+
+# -- literal per-row oracles -------------------------------------------------------
+
+def check_steps_against_oracles(model, data, gen):
+    """VB-M, the bound and VB-E (at the VB-M update and at arbitrary
+    tables) against the row-by-row, configuration-by-configuration oracles."""
+    q_latent = {
+        l.name: gen.dirichlet(np.ones(l.states), size=data.n_rows)
+        for l in model.spec.latents
+    }
+    q_theta = vb_m_step(model, data, q_latent)
+    expected = m_step_oracle(model, data, q_latent)
+    assert q_theta.keys() == expected.keys()
+    for node, table in expected.items():
+        assert np.allclose(q_theta[node], table, rtol=0.0, atol=1e-9)
+    assert elbo(model, data, VariationalState(q_theta, q_latent)) == pytest.approx(
+        elbo_oracle(model, data, q_theta, q_latent), rel=0.0, abs=1e-8
+    )
+    arbitrary = {node: gen.gamma(2.0, size=t.shape) + 0.1 for node, t in q_theta.items()}
+    for tables in (q_theta, arbitrary):
+        updated = vb_e_step(model, data, tables, q_latent)
+        expected = e_step_oracle(model, data, tables, q_latent)
+        assert updated.keys() == expected.keys()
+        for name, q in expected.items():
+            assert np.allclose(updated[name], q, rtol=0.0, atol=1e-9)
+
+
+@given(st.integers(0, 10**6))
+@settings(max_examples=40, deadline=None)
+def test_steps_match_the_literal_oracles(seed):
+    model, data = random_latentized_instance(random.Random(seed))
+    check_steps_against_oracles(model, data, np.random.default_rng(seed))
+
+
+def test_steps_match_the_literal_oracles_with_three_latent_parents():
+    model, data = three_latent_parent_instance()
+    latent_parents = [p for p in model.dag.parents("B") if p in model.spec.names]
+    assert latent_parents == ["_L1", "_L2", "_L3"]
+    for seed in range(3):
+        check_steps_against_oracles(model, data, np.random.default_rng(seed))
 
 
 # -- bound values -----------------------------------------------------------------
