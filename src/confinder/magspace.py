@@ -1,20 +1,21 @@
 """Enumeration and local moves over the MAGs represented by a PAG.
 
 A PAG fixes the skeleton and the invariant (non-circle) marks; each circle
-mark may resolve to a tail or an arrowhead. This module enumerates the valid
-completions that stay in one Markov equivalence class, stratified by the
-number of bi-directed edges, and generates single-mark neighbor moves for
-hill-climbing, where equivalence is deliberately NOT checked.
+mark may resolve to a tail or an arrowhead. One backtracking walk over the
+circle marks, which cuts only prefixes no completion can repair, serves
+three jobs: the reference MAG is its first completion; the enumeration
+keeps the completions Markov equivalent to that reference, stratified by
+the number of bi-directed edges; and the PAG of a maximal MAG keeps the
+marks its equivalent completions agree on. Single-mark neighbor moves for
+hill-climbing deliberately do NOT check equivalence.
 
-Everything is generate-and-test over circle marks behind an explicit limit:
-exact at desk scale, and failing loudly instead of exhausting memory beyond
-it.
+The enumeration refuses orientation spaces above an explicit limit instead
+of running unbounded.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from confinder.errors import ConstructionError, EnumerationLimitError
 from confinder.graphs import (
@@ -25,6 +26,7 @@ from confinder.graphs import (
     has_inducing_path,
     is_collider,
     markov_equivalent,
+    maximal_augmentation,
     require_valid,
     unshielded_triples,
     validate,
@@ -32,11 +34,8 @@ from confinder.graphs import (
 
 ENUMERATION_LIMIT = 100000
 
-# pag_of_mag walks 3^|E| orientations, each checked for validity and Markov
-# equivalence; past this many edges the walk stops being a desk-scale tool
-PAG_RECOVERY_MAX_EDGES = 10
-
 Slot = Tuple[Tuple[str, str], str]  # (edge pair, endpoint node)
+Triple = Tuple[str, str, str]
 
 
 @dataclass(frozen=True)
@@ -86,34 +85,84 @@ def _graph_key(g: MixedGraph):
     return tuple((e.a, e.b, e.mark_a.value, e.mark_b.value) for e in g.edges)
 
 
+def _completions(pag: MixedGraph, non_colliders: Tuple[Triple, ...]) -> Iterator[MixedGraph]:
+    """Every MAG completion of the PAG with no collider on ``non_colliders``.
+
+    Circle endpoints are resolved in canonical order, tail before arrowhead,
+    so completions come in that lexicographic order. A prefix is cut as soon
+    as its fixed marks hold a tail-tail edge, a directed or almost-directed
+    cycle, or a collider on a triple of ``non_colliders``. Each check reads
+    fixed marks only and fixing more marks keeps a violation, so the cut
+    loses no completion, and every completion is a valid MAG. Raises
+    ConstructionError, naming the deepest circle left unresolved, when no
+    completion exists.
+    """
+    slots = circle_slots(pag)
+    marks: Dict[Slot, Mark] = {}
+    deepest = 0
+
+    def consistent(node: str) -> bool:
+        g = _complete(pag, marks, kind=GraphKind.PAG)
+        if any(e.mark_a is e.mark_b is Mark.TAIL for e in g.edges):
+            return False
+        # a collider at b reads only the marks at b, and only ``node``'s changed
+        if any(is_collider(g, *t) for t in non_colliders if t[1] == node):
+            return False
+        try:
+            g.topological_order()
+        except ValueError:
+            return False
+        return not any(g.is_ancestor(a, b) or g.is_ancestor(b, a) for a, b in g.bidirected_edges())
+
+    def extend(i: int) -> Iterator[MixedGraph]:
+        nonlocal deepest
+        deepest = max(deepest, i)
+        if i == len(slots):
+            yield _complete(pag, marks)
+            return
+        for mark in (Mark.TAIL, Mark.ARROW):
+            marks[slots[i]] = mark
+            if consistent(slots[i][1]):
+                yield from extend(i + 1)
+        del marks[slots[i]]
+
+    yield from extend(0)
+    if deepest < len(slots):  # no prefix reached full length
+        pair, node = slots[deepest]
+        raise ConstructionError(f"no valid orientation for the circle at {node!r} on edge {pair}")
+
+
 def enumerate_mags(pag: MixedGraph, limit: Optional[int] = ENUMERATION_LIMIT) -> List[MagStratum]:
     """All MAG completions of the PAG equivalent to its reference MAG.
 
-    Every circle mark is resolved both ways; completions that fail validity
-    or leave the reference MAG's Markov equivalence class are dropped. The
-    survivors are grouped into strata by ascending bi-directed-edge count.
+    The walk over circle marks keeps the completions Markov equivalent to
+    the reference MAG and groups them into strata by ascending
+    bi-directed-edge count. It prunes by the unshielded non-colliders of the
+    reference's maximal augmentation on the PAG's edges, which every class
+    member shares; the PAG's own non-colliders would not do, since an
+    inducing path of a non-maximal reference can shield one of them.
 
     Raises EnumerationLimitError when the orientation space (2^#circles)
     exceeds ``limit``; truncating silently would bias the search, so the
     caller must switch to the hill-climbing strategy instead.
     """
     require_valid(pag, GraphKind.PAG, "pag")
-    slots = circle_slots(pag)
-    candidates = 2 ** len(slots)
+    candidates = 2 ** len(circle_slots(pag))
     if limit is not None and candidates > limit:
         raise EnumerationLimitError(
             f"{candidates} candidate orientations exceed the limit of {limit}; "
             f"use the hill-climbing strategy, which never enumerates the space"
         )
     ref = reference_mag(pag)
-    found = []
-    for choice in itertools.product((Mark.TAIL, Mark.ARROW), repeat=len(slots)):
-        g = _complete(pag, dict(zip(slots, choice)))
-        if validate(g).ok and markov_equivalent(g, ref):
-            found.append(g)
+    # the augmentation joins x and y exactly when an inducing path does
+    non_colliders = tuple(
+        t for t in unshielded_triples(ref)
+        if not is_collider(ref, *t) and not has_inducing_path(ref, t[0], t[2])
+    )
     by_count: Dict[int, List[MixedGraph]] = {}
-    for g in found:
-        by_count.setdefault(g.bidirected_count, []).append(g)
+    for g in _completions(pag, non_colliders):
+        if markov_equivalent(g, ref):
+            by_count.setdefault(g.bidirected_count, []).append(g)
     return [
         MagStratum(count, tuple(sorted(by_count[count], key=_graph_key)))
         for count in sorted(by_count)
@@ -123,63 +172,16 @@ def enumerate_mags(pag: MixedGraph, limit: Optional[int] = ENUMERATION_LIMIT) ->
 def reference_mag(pag: MixedGraph) -> MixedGraph:
     """One deterministic MAG completion of the PAG, anchoring its class.
 
-    Circle endpoints are resolved in canonical edge order, tail before
-    arrowhead, backtracking on violations: tail-tail edges, directed or
-    almost-directed cycles, and colliders on unshielded triples that the PAG
-    does not orient as colliders. Tail-first resolution turns every o->
-    edge into --> and orients the o-o subgraph acyclically, which keeps the
-    completion inside the PAG's equivalence class.
+    The first completion of the walk over circle marks (canonical edge
+    order, tail before arrowhead) that puts no collider on an unshielded
+    triple the PAG does not orient as a collider. Tail-first resolution
+    turns every o-> edge into --> and orients the o-o subgraph acyclically,
+    which keeps the completion inside the PAG's equivalence class. Raises
+    ConstructionError when no such completion exists.
     """
     require_valid(pag, GraphKind.PAG, "pag")
-    slots = circle_slots(pag)
-    if not slots:
-        return pag.with_kind(GraphKind.MAG)
-
-    # unshielded triples the PAG does not orient as colliders must not become ones
     non_colliders = tuple(t for t in unshielded_triples(pag) if not is_collider(pag, *t))
-
-    def consistent(marks: Dict[Slot, Mark]) -> bool:
-        g = _complete(pag, marks, kind=GraphKind.PAG)
-        for e in g.edges:
-            if e.mark_a is not Mark.CIRCLE and e.mark_b is not Mark.CIRCLE:
-                if e.mark_a is Mark.TAIL and e.mark_b is Mark.TAIL:
-                    return False
-        try:
-            g.topological_order()
-        except ValueError:
-            return False
-        for a, b in g.bidirected_edges():
-            if g.is_ancestor(a, b) or g.is_ancestor(b, a):
-                return False
-        return not any(is_collider(g, *t) for t in non_colliders)
-
-    deepest_failure = 0
-
-    def assign(i: int, marks: Dict[Slot, Mark]) -> Optional[Dict[Slot, Mark]]:
-        nonlocal deepest_failure
-        if i == len(slots):
-            return marks
-        for mark in (Mark.TAIL, Mark.ARROW):
-            marks[slots[i]] = mark
-            if consistent(marks):
-                done = assign(i + 1, marks)
-                if done is not None:
-                    return done
-            del marks[slots[i]]
-        deepest_failure = max(deepest_failure, i)
-        return None
-
-    solution = assign(0, {})
-    if solution is None:
-        pair, node = slots[deepest_failure]
-        raise ConstructionError(
-            f"no valid orientation for the circle at {node!r} on edge {pair}"
-        )
-    result = _complete(pag, solution)
-    report = validate(result)
-    if not report.ok:
-        raise ConstructionError("completion failed validity: " + "; ".join(report.violations))
-    return result
+    return next(_completions(pag, non_colliders))
 
 
 def _check_pag_consistency(current: MixedGraph, pag: MixedGraph) -> None:
@@ -226,46 +228,37 @@ def orientation_neighbors(
 def is_maximal(mag: MixedGraph) -> bool:
     """True iff every non-adjacent node pair is m-separated by some set.
 
-    That holds iff no inducing path joins a non-adjacent pair.
+    That holds iff no inducing path joins a non-adjacent pair, that is, iff
+    the maximal augmentation adds no edge.
     """
     require_valid(mag, GraphKind.MAG, "mag")
-    return not any(
-        has_inducing_path(mag, x, y)
-        for x, y in itertools.combinations(mag.nodes, 2)
-        if not mag.has_edge(x, y)
-    )
+    return maximal_augmentation(mag) is mag
 
 
 def pag_of_mag(mag: MixedGraph) -> MixedGraph:
-    """Recover the PAG of a MAG by brute force over its equivalence class.
+    """Recover the PAG of a maximal MAG from the members of its class.
 
-    Every same-skeleton re-orientation (each edge as ->, <- or <->) that is
-    valid and Markov equivalent to the input is a class member; marks that
-    agree across all members stay, the rest become circles. Requires a
+    Equivalent maximal MAGs share the skeleton and the unshielded colliders
+    and non-colliders. So the walk over circle marks starts from the
+    skeleton with circles everywhere except arrowheads at the unshielded
+    colliders, and cuts every collider on an unshielded non-collider; the
+    completions Markov equivalent to the input are its class members. Marks
+    that agree across all members stay, the rest become circles. Requires a
     maximal input: non-maximal ancestral graphs can have equivalent graphs
     with different skeletons, which this skeleton-fixing walk would miss.
     """
     require_valid(mag, GraphKind.MAG, "mag")
-    if len(mag.edges) > PAG_RECOVERY_MAX_EDGES:
-        raise ValueError(
-            f"pag_of_mag is exhaustive and limited to {PAG_RECOVERY_MAX_EDGES} edges; "
-            f"got {len(mag.edges)}"
-        )
     if not is_maximal(mag):
         raise ValueError("pag_of_mag requires a maximal MAG")
-    options = (
-        (Mark.TAIL, Mark.ARROW),
-        (Mark.ARROW, Mark.TAIL),
-        (Mark.ARROW, Mark.ARROW),
-    )
-    members = []
-    for assignment in itertools.product(options, repeat=len(mag.edges)):
-        edges = tuple(
-            Edge(e.a, e.b, ma, mb) for e, (ma, mb) in zip(mag.edges, assignment)
-        )
-        g = MixedGraph(GraphKind.MAG, mag.nodes, edges)
-        if validate(g).ok and markov_equivalent(g, mag):
-            members.append(g)
+    triples = unshielded_triples(mag)
+    colliders = {t for t in triples if is_collider(mag, *t)}
+    heads = {(b, x) for a, b, c in colliders for x in (a, c)}
+    circled = MixedGraph(GraphKind.PAG, mag.nodes, tuple(
+        Edge(e.a, e.b, *(Mark.ARROW if (n, e.other(n)) in heads else Mark.CIRCLE for n in e.pair))
+        for e in mag.edges
+    ))
+    non_colliders = tuple(t for t in triples if t not in colliders)
+    members = [g for g in _completions(circled, non_colliders) if markov_equivalent(g, mag)]
     pag_edges = []
     for i, e in enumerate(mag.edges):
         marks_a = {m.edges[i].mark_a for m in members}

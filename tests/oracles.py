@@ -3,8 +3,8 @@
 Everything here favours obviousness over speed: separation is decided by
 enumerating every simple path and applying the blocking definition node by
 node, Markov equivalence and marginal MAGs by comparing or reading full CI
-signatures, and the reference VBEM fit keeps one responsibility vector per
-row. Only usable on small inputs, which is exactly what the tests feed it.
+signatures, equivalence classes and PAGs by trying every orientation, and
+the reference VBEM fit keeps one responsibility vector per row. Only usable on small inputs, which is exactly what the tests feed it.
 """
 from __future__ import annotations
 
@@ -16,7 +16,17 @@ from typing import FrozenSet, Iterable, Iterator, List, Sequence, Tuple
 import numpy as np
 from scipy.special import digamma, gammaln
 
-from confinder.graphs import Edge, GraphKind, Mark, MixedGraph, ci_signature, validate
+from confinder.graphs import (
+    Edge,
+    GraphKind,
+    Mark,
+    MixedGraph,
+    ci_signature,
+    is_collider,
+    markov_equivalent,
+    unshielded_triples,
+    validate,
+)
 from confinder.latentize import Latent, LatentizedDag, LatentSpec
 from confinder.seeds import derive_seed
 from confinder.vbem import (
@@ -209,6 +219,99 @@ def random_maximal_mag(
         g = random_mag(rng, n_nodes, edge_prob)
         if len(g.edges) <= max_edges and is_maximal_oracle(g):
             return g
+
+
+def circle_marks(rng: random.Random, mag: MixedGraph) -> MixedGraph:
+    """A PAG over the MAG's edges with each mark circled with probability 1/2.
+
+    A tail facing a circle is circled too, since tail-circle edges only
+    arise under selection; the MAG stays one of the PAG's completions.
+    """
+    edges = []
+    for e in mag.edges:
+        ma = Mark.CIRCLE if rng.random() < 0.5 else e.mark_a
+        mb = Mark.CIRCLE if rng.random() < 0.5 else e.mark_b
+        if {ma, mb} == {Mark.TAIL, Mark.CIRCLE}:
+            ma = mb = Mark.CIRCLE
+        edges.append(Edge(e.a, e.b, ma, mb))
+    return MixedGraph(GraphKind.PAG, mag.nodes, tuple(edges))
+
+
+# -- equivalence classes and PAGs by generate-and-test -------------------------
+
+def completions_oracle(pag: MixedGraph) -> Iterator[MixedGraph]:
+    """Every valid MAG completion of the PAG: each circle mark is tried as a
+    tail and as an arrowhead, in canonical slot order with tails first."""
+    slots = [
+        (e.pair, node)
+        for e in pag.edges
+        for node, mark in ((e.a, e.mark_a), (e.b, e.mark_b))
+        if mark is Mark.CIRCLE
+    ]
+    for choice in itertools.product((Mark.TAIL, Mark.ARROW), repeat=len(slots)):
+        assign = dict(zip(slots, choice))
+        edges = tuple(
+            Edge(
+                e.a,
+                e.b,
+                assign.get((e.pair, e.a), e.mark_a),
+                assign.get((e.pair, e.b), e.mark_b),
+            )
+            for e in pag.edges
+        )
+        g = MixedGraph(GraphKind.MAG, pag.nodes, edges)
+        if validate(g).ok:
+            yield g
+
+
+def enumerate_oracle(source_pag: MixedGraph, origin_mag: MixedGraph) -> set:
+    """Brute force: flip every circle both ways, keep valid equivalents."""
+    return {g for g in completions_oracle(source_pag) if markov_equivalent(g, origin_mag)}
+
+
+def reference_oracle(pag: MixedGraph):
+    """The first valid completion, in the order above, with no collider on
+    an unshielded triple the PAG does not orient as a collider; None when
+    no completion qualifies."""
+    non_colliders = [t for t in unshielded_triples(pag) if not is_collider(pag, *t)]
+    return next(
+        (
+            g
+            for g in completions_oracle(pag)
+            if not any(is_collider(g, *t) for t in non_colliders)
+        ),
+        None,
+    )
+
+
+def pag_of_mag_oracle(mag: MixedGraph) -> MixedGraph:
+    """The PAG of a maximal MAG by brute force over its equivalence class.
+
+    Every same-skeleton re-orientation (each edge as ->, <- or <->) that is
+    valid and Markov equivalent to the input is a class member; marks that
+    agree across all members stay, the rest become circles.
+    """
+    options = (
+        (Mark.TAIL, Mark.ARROW),
+        (Mark.ARROW, Mark.TAIL),
+        (Mark.ARROW, Mark.ARROW),
+    )
+    members = []
+    for assignment in itertools.product(options, repeat=len(mag.edges)):
+        edges = tuple(
+            Edge(e.a, e.b, ma, mb) for e, (ma, mb) in zip(mag.edges, assignment)
+        )
+        g = MixedGraph(GraphKind.MAG, mag.nodes, edges)
+        if validate(g).ok and markov_equivalent(g, mag):
+            members.append(g)
+    pag_edges = []
+    for i, e in enumerate(mag.edges):
+        marks_a = {m.edges[i].mark_a for m in members}
+        marks_b = {m.edges[i].mark_b for m in members}
+        ma = e.mark_a if len(marks_a) == 1 else Mark.CIRCLE
+        mb = e.mark_b if len(marks_b) == 1 else Mark.CIRCLE
+        pag_edges.append(Edge(e.a, e.b, ma, mb))
+    return MixedGraph(GraphKind.PAG, mag.nodes, tuple(pag_edges))
 
 
 # -- exact Bayesian scores, pure python ---------------------------------------

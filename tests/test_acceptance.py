@@ -12,7 +12,6 @@ The recovery margin (criterion 07) and the slow-instance size (criterion
 frozen here; see the assertions for the frozen values.
 """
 import contextlib
-import itertools
 import math
 import random
 import sys
@@ -24,7 +23,7 @@ import pytest
 from confinder.bn import BnModel, forward_sample
 from confinder.cli import EXIT_OK, main
 from confinder.experiment import ExperimentSpec, derive_true_pag, run_experiment
-from confinder.graphs import Edge, GraphKind, Mark, MixedGraph, validate
+from confinder.graphs import Edge, GraphKind, Mark, MixedGraph
 from confinder.latentize import (
     Latent,
     LatentSpec,
@@ -34,13 +33,14 @@ from confinder.latentize import (
     latentize_min,
     verify_ci_equivalence,
 )
-from confinder.magspace import enumerate_mags, markov_equivalent, pag_of_mag
+from confinder.magspace import enumerate_mags, pag_of_mag
 from confinder.search import SearchConfig, Strategy, run_search
 from confinder.seeds import derive_seed
 from confinder.vbem import Dataset, run_vbem
 from confinder.vbem import p_elbo as penalized
 
 from oracles import (
+    enumerate_oracle,
     exact_conjugate_score,
     exact_latent_marginal,
     random_latentized_instance,
@@ -254,32 +254,6 @@ def test_04_penalty_is_the_log_permutation_count():
 
 # -- 05: class enumeration against brute force -------------------------------
 
-def brute_force_class(source_pag: MixedGraph, origin_mag: MixedGraph) -> set:
-    """Try every circle assignment; keep valid, equivalent completions."""
-    slots = []
-    for e in source_pag.edges:
-        if e.mark_a is Mark.CIRCLE:
-            slots.append((e.pair, e.a))
-        if e.mark_b is Mark.CIRCLE:
-            slots.append((e.pair, e.b))
-    survivors = set()
-    for choice in itertools.product((Mark.TAIL, Mark.ARROW), repeat=len(slots)):
-        assign = dict(zip(slots, choice))
-        edges = tuple(
-            Edge(
-                e.a,
-                e.b,
-                assign.get((e.pair, e.a), e.mark_a),
-                assign.get((e.pair, e.b), e.mark_b),
-            )
-            for e in source_pag.edges
-        )
-        g = MixedGraph(GraphKind.MAG, source_pag.nodes, edges)
-        if validate(g).ok and markov_equivalent(g, origin_mag):
-            survivors.add(g)
-    return survivors
-
-
 def test_05_enumeration_matches_brute_force():
     with criterion(5, "class enumeration matches the brute-force oracle"):
         for seed in range(50):
@@ -288,7 +262,7 @@ def test_05_enumeration_matches_brute_force():
             pag = pag_of_mag(mag)
             strata = enumerate_mags(pag)
             produced = [g for s in strata for g in s.mags]
-            assert set(produced) == brute_force_class(pag, mag)
+            assert set(produced) == enumerate_oracle(pag, mag)
             assert len(set(produced)) == len(produced)
             counts = [s.bidirected_count for s in strata]
             assert counts == sorted(counts)

@@ -13,6 +13,7 @@ from confinder.graphs import (
     GraphKind,
     Mark,
     MixedGraph,
+    is_collider,
     markov_equivalent,
     validate,
 )
@@ -26,10 +27,14 @@ from confinder.magspace import (
     reference_mag,
 )
 from oracles import (
+    circle_marks,
+    enumerate_oracle,
     is_maximal_oracle,
+    pag_of_mag_oracle,
     random_mag,
     random_maximal_mag,
     random_non_maximal_mag,
+    reference_oracle,
     separated_oracle,
 )
 
@@ -44,32 +49,6 @@ def mag(nodes, *edges):
 
 def all_mags(strata):
     return [g for s in strata for g in s.mags]
-
-
-def oracle_enumerate(source_pag, origin_mag):
-    """Brute force: flip every circle both ways, keep valid equivalents."""
-    slots = []
-    for e in source_pag.edges:
-        if e.mark_a is Mark.CIRCLE:
-            slots.append((e.pair, e.a))
-        if e.mark_b is Mark.CIRCLE:
-            slots.append((e.pair, e.b))
-    survivors = set()
-    for choice in itertools.product((Mark.TAIL, Mark.ARROW), repeat=len(slots)):
-        assign = dict(zip(slots, choice))
-        edges = tuple(
-            Edge(
-                e.a,
-                e.b,
-                assign.get((e.pair, e.a), e.mark_a),
-                assign.get((e.pair, e.b), e.mark_b),
-            )
-            for e in source_pag.edges
-        )
-        g = MixedGraph(GraphKind.MAG, source_pag.nodes, edges)
-        if validate(g).ok and markov_equivalent(g, origin_mag):
-            survivors.add(g)
-    return survivors
 
 
 # -- enumerate_mags ----------------------------------------------------------
@@ -155,7 +134,7 @@ def test_enumeration_matches_brute_force_oracle(seed):
     origin = random_maximal_mag(rng, 5)
     p = pag_of_mag(origin)
     strata = enumerate_mags(p)
-    assert set(all_mags(strata)) == oracle_enumerate(p, origin)
+    assert set(all_mags(strata)) == enumerate_oracle(p, origin)
 
     counts = [s.bidirected_count for s in strata]
     assert counts == sorted(set(counts))
@@ -168,6 +147,43 @@ def test_enumeration_matches_brute_force_oracle(seed):
     assert reference_mag(p) in mags
     for a, b in itertools.combinations(mags, 2):
         assert markov_equivalent(a, b)
+
+
+@given(st.integers(0, 10**6))
+@settings(max_examples=25, deadline=None)
+def test_reference_and_enumeration_match_the_oracle_on_circled_non_maximal_mags(seed):
+    rng = random.Random(seed)
+    p = circle_marks(rng, random_non_maximal_mag(rng, rng.randint(4, 5)))
+    expected = reference_oracle(p)
+    if expected is None:
+        with pytest.raises(ConstructionError, match="no valid orientation"):
+            reference_mag(p)
+        return
+    assert reference_mag(p) == expected
+    assert set(all_mags(enumerate_mags(p))) == enumerate_oracle(p, expected)
+
+
+def test_enumeration_keeps_a_member_with_a_collider_the_pag_does_not_orient():
+    # the reference is not maximal: V0 <-> V2 <-> V3 <-> V1 with V2 --> V1 and
+    # V3 --> V0 is an inducing path, so its augmentation shields (V0, V4, V1)
+    # and the class holds a member with V0 <-> V4 <-> V1, a collider on a
+    # triple the PAG leaves unshielded and does not orient as a collider
+    p = pag(
+        ("V0", "V1", "V2", "V3", "V4"),
+        Edge.bidirected("V0", "V2"),
+        Edge.circle_arrow("V3", "V0"),
+        Edge.circle_arrow("V4", "V0"),
+        Edge.circle_arrow("V2", "V1"),
+        Edge.bidirected("V1", "V3"),
+        Edge.bidirected("V1", "V4"),
+        Edge.bidirected("V2", "V3"),
+    )
+    ref = reference_mag(p)
+    assert not is_maximal(ref)
+    mags = all_mags(enumerate_mags(p))
+    assert set(mags) == enumerate_oracle(p, ref)
+    assert not is_collider(ref, "V0", "V4", "V1")
+    assert any(is_collider(g, "V0", "V4", "V1") for g in mags)
 
 
 # -- reference_mag -----------------------------------------------------------
@@ -314,3 +330,19 @@ def test_recovered_pag_is_valid_and_keeps_the_skeleton(seed):
         for node in e.pair:
             if e.mark_at(node) is not Mark.CIRCLE:
                 assert origin.mark_between(node, e.other(node)) is e.mark_at(node)
+
+
+@given(st.integers(0, 10**6))
+@settings(max_examples=40, deadline=None)
+def test_pag_of_mag_matches_the_oracle(seed):
+    rng = random.Random(seed)
+    origin = random_maximal_mag(rng, rng.randint(3, 6))
+    assert pag_of_mag(origin) == pag_of_mag_oracle(origin)
+
+
+def test_pag_of_a_twelve_edge_directed_chain_is_all_circles():
+    nodes = [f"X{i:02d}" for i in range(13)]
+    chain = mag(nodes, *(Edge.directed(a, b) for a, b in zip(nodes, nodes[1:])))
+    assert pag_of_mag(chain) == pag(
+        nodes, *(Edge.circle_circle(a, b) for a, b in zip(nodes, nodes[1:]))
+    )
