@@ -19,7 +19,7 @@ import numpy as np
 from confinder.bn import BnModel, parent_configurations, parent_strides
 from confinder.errors import GraphFormatError
 from confinder.graphs import Edge, GraphKind, Mark, MixedGraph, require_valid
-from confinder.latentize import Latent, LatentizedDag, LatentSpec
+from confinder.latentize import Latent, LatentizedDag, LatentSpec, placement_problems
 from confinder.search import SearchTrace, TraceEntry
 from confinder.vbem import Dataset
 
@@ -377,7 +377,11 @@ def parse_latentized_file(text: str) -> LatentizedFile:
         if declared is None:
             scan.nodes[latent.name] = (latent.states, (), lineno)
     dag = _build_graph(scan, GraphKind.DAG)
+    require_valid(dag, GraphKind.DAG, "parsed graph")
     spec = LatentSpec(tuple(latent for _l, latent in scan.latents))
+    lines = {latent.name: lineno for lineno, latent in scan.latents}
+    for latent, problem in placement_problems(dag, spec):
+        raise GraphFormatError(problem, lines[latent.name])
     model = LatentizedDag(dag, spec)
     cards = {
         name: card

@@ -18,7 +18,7 @@ import random
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
-from confinder.errors import LatentizationError
+from confinder.errors import InconsistentStateError, LatentizationError
 from confinder.graphs import (
     Edge,
     GraphKind,
@@ -95,6 +95,19 @@ class LatentSpec:
         )
 
 
+def placement_problems(dag: MixedGraph, spec: LatentSpec) -> Iterator[Tuple[Latent, str]]:
+    """Each latent of ``spec`` that the DAG does not place as a parentless
+    node with exactly the latent's children, with what is wrong."""
+    node_set = set(dag.nodes)
+    for latent in spec.latents:
+        if latent.name not in node_set:
+            yield latent, f"latent {latent.name!r} missing from the DAG"
+        elif dag.parents(latent.name):
+            yield latent, f"latent {latent.name!r} has parents"
+        elif dag.children(latent.name) != latent.children:
+            yield latent, f"latent {latent.name!r} children do not match its placement"
+
+
 @dataclass(frozen=True)
 class LatentizedDag:
     """A DAG over observed plus latent nodes, tied to the MAG it encodes.
@@ -108,21 +121,18 @@ class LatentizedDag:
     source_mag: Optional[MixedGraph] = None
 
     def __post_init__(self):
-        require_valid(self.dag, GraphKind.DAG, "dag")
-        node_set = set(self.dag.nodes)
-        for latent in self.spec.latents:
-            if latent.name not in node_set:
-                raise ValueError(f"latent {latent.name!r} missing from the DAG")
-            if self.dag.parents(latent.name):
-                raise ValueError(f"latent {latent.name!r} has parents")
-            if self.dag.children(latent.name) != latent.children:
-                raise ValueError(
-                    f"latent {latent.name!r} children do not match its placement"
-                )
-        if self.source_mag is not None:
-            require_valid(self.source_mag, GraphKind.MAG, "source_mag")
-            if self.source_mag.nodes != self.observed:
-                raise ValueError("source MAG nodes differ from the observed nodes")
+        # parsers check their input first (fileio reports a bad model file
+        # as a format error), so a failure here is a program fault
+        try:
+            require_valid(self.dag, GraphKind.DAG, "dag")
+            if self.source_mag is not None:
+                require_valid(self.source_mag, GraphKind.MAG, "source_mag")
+        except ValueError as exc:
+            raise InconsistentStateError(str(exc)) from None
+        for _latent, problem in placement_problems(self.dag, self.spec):
+            raise InconsistentStateError(problem)
+        if self.source_mag is not None and self.source_mag.nodes != self.observed:
+            raise InconsistentStateError("source MAG nodes differ from the observed nodes")
 
     @property
     def observed(self) -> Tuple[str, ...]:

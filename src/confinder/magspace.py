@@ -98,15 +98,32 @@ def _completions(pag: MixedGraph, non_colliders: Tuple[Triple, ...]) -> Iterator
     completion exists.
     """
     slots = circle_slots(pag)
+    # an edge's circles are adjacent slots; the last one completes the edge
+    completes = [
+        i + 1 == len(slots) or slots[i + 1][0] != pair
+        for i, (pair, _node) in enumerate(slots)
+    ]
     marks: Dict[Slot, Mark] = {}
     deepest = 0
 
-    def consistent(node: str) -> bool:
+    def mark_at(node: str, other: str) -> Mark:
+        pair = (node, other) if node < other else (other, node)
+        return marks.get((pair, node), pag.mark_between(node, other))
+
+    def consistent(i: int) -> bool:
+        node = slots[i][1]
+        # a collider at b reads only the marks at b, and only slot i's changed
+        if any(
+            mark_at(node, a) is mark_at(node, c) is Mark.ARROW
+            for a, b, c in non_colliders if b == node
+        ):
+            return False
+        if not completes[i]:
+            # a circle is left at the other end, so the edge is neither
+            # tail-tail nor directed nor bi-directed: it adds no violation
+            return True
         g = _complete(pag, marks, kind=GraphKind.PAG)
         if any(e.mark_a is e.mark_b is Mark.TAIL for e in g.edges):
-            return False
-        # a collider at b reads only the marks at b, and only ``node``'s changed
-        if any(is_collider(g, *t) for t in non_colliders if t[1] == node):
             return False
         try:
             g.topological_order()
@@ -122,7 +139,7 @@ def _completions(pag: MixedGraph, non_colliders: Tuple[Triple, ...]) -> Iterator
             return
         for mark in (Mark.TAIL, Mark.ARROW):
             marks[slots[i]] = mark
-            if consistent(slots[i][1]):
+            if consistent(i):
                 yield from extend(i + 1)
         del marks[slots[i]]
 

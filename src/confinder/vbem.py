@@ -20,11 +20,22 @@ likelihood. The fitted ``q_latent`` is returned per observation (one row
 per data row), and the public step functions bind every row with weight 1.
 
 Every family, latent or not, is fitted through one table of cells: one
-row per data row and one column per joint configuration of the family's
-latents, each entry the (parent configuration, state) cell the row lands
+row per joint configuration of the family's latents and one column per
+data row, each entry the (parent configuration, state) cell the row lands
 in. The VB-M step adds each row's weight times the joint responsibility
-of every column to its cell; the VB-E step gathers the expected log
+of every configuration to its cell; the VB-E step gathers the expected log
 parameters of those cells and sums out the other latents' responsibilities.
+
+A fit keeps the best of several seeded restarts, and all of them advance
+together as one batch. Inside the batch, responsibilities are laid out
+restarts x states x rows (rows last, so a reduction over a latent's few
+states adds whole contiguous rows) and every dynamic family's table
+restarts x parent configurations x states. The M-step makes one
+``bincount`` per family over all restarts' cells, restart r's shifted by r
+table sizes; the bound makes one ``gammaln`` call over every dynamic
+table and row sum. A restart leaves the batch with its state frozen as
+soon as its own stopping rule fires. The public step functions run the
+same code as a batch of one restart.
 
 The searched objective adds a label-symmetry penalty:
 p-ELBO = ELBO - sum_i log(|L_i|!), cancelling the |L_i|! equivalent
@@ -199,15 +210,16 @@ class _Family:
 
     ``members`` are the family's latents in sorted order: its latent
     parents, plus the node itself when it is latent. ``cells`` holds, for
-    every row and every joint configuration of the members (mixed radix,
-    last member varying fastest), the flat index into the (parent
+    every joint configuration of the members (mixed radix, last member
+    varying fastest) and every row, the flat index into the (parent
     configuration x state) table that the row lands in. A latent root thus
-    has the columns 0..k-1 and a latent-free family a single column. The
-    prior table and, for latent-free families, the posterior table are
+    has the rows 0..k-1 and a latent-free family a single row. The prior
+    table and, for latent-free families, the posterior table are
     constants of the binding.
     """
 
-    __slots__ = ("node", "members", "cells", "prior", "static_posterior")
+    __slots__ = ("node", "members", "shape", "cells", "prior", "static_posterior",
+                 "_batch_cells")
 
     def __init__(self, node, parents, cards, columns, weights, latent_names,
                  prior: FamilyPrior):
@@ -217,6 +229,7 @@ class _Family:
         place = {p: stride * card for p, stride in parent_strides(parents, cards).items()}
         place[node] = 1
         self.members = tuple(sorted(n for n in place if n in latent_names))
+        self.shape = tuple(cards[m] for m in self.members)
         observed = np.zeros(len(weights), dtype=np.int64)
         for name, weight in place.items():
             if name not in latent_names:
@@ -224,12 +237,22 @@ class _Family:
         offsets = np.zeros(1, dtype=np.int64)
         for member in self.members:
             offsets = (offsets[:, None] + place[member] * np.arange(cards[member])).ravel()
-        self.cells = observed[:, None] + offsets
+        self.cells = offsets[:, None] + observed
         self.prior = prior.for_family((math.prod(cards[p] for p in parents), card))
         self.static_posterior = None
         if not self.members:
-            counts = np.bincount(self.cells[:, 0], weights=weights, minlength=self.prior.size)
+            counts = np.bincount(self.cells[0], weights=weights, minlength=self.prior.size)
             self.static_posterior = self.prior + counts.reshape(self.prior.shape)
+        self._batch_cells = np.empty(0, dtype=np.int64)
+
+    def batch_cells(self, restarts: int) -> np.ndarray:
+        """The flat cells of a batch of ``restarts`` tables laid end to end:
+        restart r's cells are offset by r table sizes. A smaller batch
+        reads a prefix of the largest one built."""
+        if len(self._batch_cells) < restarts * self.cells.size:
+            shift = self.prior.size * np.arange(restarts)
+            self._batch_cells = (shift[:, None, None] + self.cells).ravel()
+        return self._batch_cells[: restarts * self.cells.size]
 
 
 class _Binding:
@@ -317,43 +340,72 @@ class _Binding:
                     f"{(self.n_rows, self.latent_cards[name])}"
                 )
 
+    def full_q_theta(self, dynamic: Mapping[str, np.ndarray]) -> Dict[str, np.ndarray]:
+        """Every family's table: ``dynamic``'s, plus copies of the constant
+        posteriors of latent-free families."""
+        return {
+            node: dynamic[node] if f.static_posterior is None else f.static_posterior.copy()
+            for node, f in self.families.items()
+        }
+
 
 def _bind_every_row(model: LatentizedDag, data: Dataset,
                     prior: Optional[FamilyPrior] = None) -> _Binding:
     return _Binding(model, data, prior or FamilyPrior(), data.rows, np.ones(data.n_rows))
 
 
-def _expected_log_theta(table: np.ndarray) -> np.ndarray:
-    # degenerate tables produce non-finite values here; the E-step detects
-    # and reports them, so the intermediate warning is noise
-    with np.errstate(invalid="ignore"):
-        return digamma(table) - digamma(table.sum(axis=1, keepdims=True))
+# -- the batched steps: restarts x states x rows ------------------------------
+
+def _of_tables_and_sums(fn, tables: list) -> list:
+    """``fn`` of every table and of every table's row sums, in one call:
+    one (cells, row sums) pair of arrays per table."""
+    if not tables:
+        return []
+    sums = [table.sum(axis=-1) for table in tables]
+    values = fn(np.concatenate([part.ravel() for part in tables + sums]))
+    pieces = []
+    start = 0
+    for part in tables + sums:
+        pieces.append(values[start:start + part.size].reshape(part.shape))
+        start += part.size
+    return list(zip(pieces, pieces[len(tables):]))
 
 
 def _member_operands(family: _Family, q_latent, skip=None) -> list:
     """``np.einsum`` operands that put each member's responsibilities (but
-    ``skip``'s) on the member's axis of the row x configuration cells."""
+    ``skip``'s) on the member's axis of the restart x configuration x row
+    cells."""
+    rows = len(family.members) + 1
     operands = []
     for axis, member in enumerate(family.members, 1):
         if member != skip:
-            operands += [q_latent[member], [0, axis]]
+            operands += [q_latent[member], [0, axis, rows]]
     return operands
 
 
 def _e_step(binding: _Binding, q_theta, q_latent) -> Dict[str, np.ndarray]:
     """One sequential mean-field sweep over latents in canonical order."""
-    elog = {f.node: _expected_log_theta(q_theta[f.node]).ravel() for f in binding.dynamic}
+    digammas = _of_tables_and_sums(digamma, [q_theta[f.node] for f in binding.dynamic])
+    # degenerate tables produce non-finite values here; the sweep detects
+    # and reports them, so the intermediate warning is noise
+    with np.errstate(invalid="ignore"):
+        elog = {
+            f.node: (cells - sums[..., None]).reshape(len(cells), -1)
+            for f, (cells, sums) in zip(binding.dynamic, digammas)
+        }
     updated = dict(q_latent)
     for latent in binding.latent_names:
         log_q = 0.0
         for family in binding.touching[latent]:
-            shape = [binding.latent_cards[m] for m in family.members]
-            gathered = elog[family.node][family.cells].reshape(binding.n_rows, *shape)
-            log_q = log_q + np.einsum(
-                gathered, [0, *range(1, len(shape) + 1)],
-                *_member_operands(family, updated, skip=latent),
-                [0, 1 + family.members.index(latent)],
-            )
+            gathered = np.take(elog[family.node], family.cells, axis=1)
+            if len(family.members) > 1:
+                axes = list(range(len(family.members) + 2))
+                gathered = np.einsum(
+                    gathered.reshape(len(gathered), *family.shape, binding.n_rows), axes,
+                    *_member_operands(family, updated, skip=latent),
+                    [0, 1 + family.members.index(latent), axes[-1]],
+                )
+            log_q = log_q + gathered
         if not np.all(np.isfinite(log_q)):
             raise InconsistentStateError(
                 f"non-finite responsibilities for {latent!r}; q_theta is degenerate"
@@ -365,33 +417,50 @@ def _e_step(binding: _Binding, q_theta, q_latent) -> Dict[str, np.ndarray]:
 
 
 def _m_step(binding: _Binding, q_latent) -> Dict[str, np.ndarray]:
+    """Prior plus expected counts for every dynamic family: one weighted
+    ``bincount`` per family over all restarts' cells."""
     q_theta = {}
-    for node, family in binding.families.items():
-        if family.static_posterior is not None:
-            q_theta[node] = family.static_posterior.copy()
-            continue
+    for family in binding.dynamic:
+        restarts = len(q_latent[family.members[0]])
+        rows = len(family.members) + 1
         joint = np.einsum(
-            binding.weights, [0], *_member_operands(family, q_latent),
-            [0, *range(1, len(family.members) + 1)],
+            binding.weights, [rows], *_member_operands(family, q_latent),
+            list(range(rows + 1)),
         )
         counts = np.bincount(
-            family.cells.ravel(), weights=joint.ravel(), minlength=family.prior.size
+            family.batch_cells(restarts), weights=joint.ravel(),
+            minlength=restarts * family.prior.size,
         )
-        q_theta[node] = family.prior + counts.reshape(family.prior.shape)
+        q_theta[family.node] = family.prior + counts.reshape(restarts, *family.prior.shape)
     return q_theta
 
 
 def _log_beta(table: np.ndarray) -> np.ndarray:
-    return gammaln(table).sum(axis=1) - gammaln(table.sum(axis=1))
+    return gammaln(table).sum(axis=-1) - gammaln(table.sum(axis=-1))
 
 
-def _entropy(weights: np.ndarray, q: np.ndarray) -> float:
-    # einsum rather than a BLAS product: BLAS threads would only spin here
-    return float(-np.einsum("m,mk->", weights, xlogy(q, q)))
+def _elbo(binding: _Binding, q_theta, q_latent) -> np.ndarray:
+    """Every restart's bound at the VB-M fixed point; latent-free families
+    are constant. One ``gammaln`` covers all dynamic tables and their row
+    sums."""
+    total = binding.constant
+    tables = [q_theta[f.node] for f in binding.dynamic]
+    for cells, sums in _of_tables_and_sums(gammaln, tables):
+        total = total + (cells.sum(axis=-1) - sums).sum(axis=-1)
+    for latent in binding.latent_names:
+        # rows outer, states inner: the summation order of a rows x states
+        # table, so the bound's bits do not depend on the batch layout
+        q = q_latent[latent].transpose(0, 2, 1)
+        total = total - np.einsum("m,rmk->r", binding.weights, xlogy(q, q, order="C"))
+    return total
 
 
-def _check_fixed_point(binding, q_theta, q_latent) -> None:
-    recomputed = _m_step(binding, q_latent)
+def _check_fixed_point(binding, q_theta, q_batch) -> None:
+    """``q_theta`` is a caller's tables, ``q_batch`` its responsibilities
+    as a batch of one."""
+    recomputed = binding.full_q_theta(
+        {node: table[0] for node, table in _m_step(binding, q_batch).items()}
+    )
     for node, table in recomputed.items():
         if not np.allclose(q_theta[node], table, rtol=1e-9, atol=1e-8):
             raise InconsistentStateError(
@@ -400,14 +469,9 @@ def _check_fixed_point(binding, q_theta, q_latent) -> None:
             )
 
 
-def _elbo(binding: _Binding, q_theta, q_latent) -> float:
-    """The bound at the VB-M fixed point; latent-free families are constant."""
-    total = binding.constant
-    for family in binding.dynamic:
-        total += float(np.sum(_log_beta(q_theta[family.node])))
-    for latent in binding.latent_names:
-        total += _entropy(binding.weights, q_latent[latent])
-    return total
+def _rows_last(binding: _Binding, q_latent) -> Dict[str, np.ndarray]:
+    """A caller's rows x states responsibilities as a batch of one."""
+    return {name: q_latent[name].T[None] for name in binding.latent_names}
 
 
 def _group_means(draws: np.ndarray, inverse: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -440,7 +504,9 @@ def vb_e_step(
         q_latent = binding.uniform_responsibilities()
     else:
         binding.check_q_latent(q_latent)
-    return _e_step(binding, q_theta, q_latent)
+    tables = {node: table[None] for node, table in q_theta.items()}
+    updated = _e_step(binding, tables, _rows_last(binding, q_latent))
+    return {name: q[0].T for name, q in updated.items()}
 
 
 def vb_m_step(
@@ -452,7 +518,10 @@ def vb_m_step(
     """Posterior Dirichlet parameters: prior plus expected counts."""
     binding = _bind_every_row(model, data, prior)
     binding.check_q_latent(q_latent)
-    return _m_step(binding, q_latent)
+    batch = _rows_last(binding, q_latent)
+    return binding.full_q_theta(
+        {node: table[0] for node, table in _m_step(binding, batch).items()}
+    )
 
 
 def elbo(
@@ -471,8 +540,12 @@ def elbo(
     binding = _bind_every_row(model, data, prior)
     binding.check_q_theta(state.q_theta)
     binding.check_q_latent(state.q_latent)
-    _check_fixed_point(binding, state.q_theta, state.q_latent)
-    return _elbo(binding, state.q_theta, state.q_latent)
+    batch = _rows_last(binding, state.q_latent)
+    _check_fixed_point(binding, state.q_theta, batch)
+    if not binding.latent_names:
+        return binding.constant
+    tables = {node: table[None] for node, table in state.q_theta.items()}
+    return float(_elbo(binding, tables, batch)[0])
 
 
 def p_elbo(elbo_value: float, spec: LatentSpec) -> float:
@@ -499,15 +572,19 @@ def run_vbem(
     """Fit the surrogate posterior, keeping the best of seeded restarts.
 
     Each restart draws row responsibilities from a flat Dirichlet and
-    averages them within each group of identical rows, then alternates E
-    and M steps over the distinct rows until a pass after the first
-    improves the bound by less than ``c`` or ``max_iterations`` passes
-    elapse. The best final bound wins; ties go to the earliest restart, so
-    results are reproducible bit for bit.
+    averages them within each group of identical rows. All restarts then
+    advance as one batch, alternating E and M steps over the distinct
+    rows. A restart leaves the batch, its state frozen, once a pass after
+    the first improves its bound by less than ``c`` or after
+    ``max_iterations`` passes. The best final bound wins; ties go to the
+    earliest restart, so results are reproducible bit for bit. Each
+    restart follows the path it would follow alone.
 
-    ``deadline`` is a ``time.monotonic()`` instant. Once it has passed, the
-    running restart stops before its next pass and no further restart
-    starts; the best restart so far is returned, reported as not converged.
+    ``deadline`` is a ``time.monotonic()`` instant, checked before every
+    batched pass. Once it has passed, every running restart stops and the
+    restart with the best current bound is returned, reported as not
+    converged. ``restarts_used`` counts the restarts run, which with one
+    batch is all of them.
     """
     if not (c > 0):
         raise ValueError("convergence threshold must be positive")
@@ -517,9 +594,8 @@ def run_vbem(
     binding = _Binding(model, data, prior or FamilyPrior(), rows, counts)
 
     if not binding.latent_names:
-        q_theta = _m_step(binding, {})
-        value = _elbo(binding, q_theta, {})
-        state = VariationalState(q_theta, {}, (value,))
+        value = binding.constant
+        state = VariationalState(binding.full_q_theta({}), {}, (value,))
         report = ScoreReport(
             elbo=value,
             p_elbo=p_elbo(value, model.spec),
@@ -529,51 +605,67 @@ def run_vbem(
         )
         return state, report
 
-    def out_of_time() -> bool:
-        return deadline is not None and time.monotonic() >= deadline
-
-    best: Optional[Tuple[VariationalState, bool]] = None
-    cut = False
-    started = 0
-    for restart in range(restarts):
-        if restart and out_of_time():
-            cut = True
-            break
-        started += 1
-        rng = np.random.default_rng(derive_seed(seed, "restart", restart))
-        q_latent = {
-            name: _group_means(
+    # each restart draws its latents in canonical order from its own stream
+    rngs = [np.random.default_rng(derive_seed(seed, "restart", r)) for r in range(restarts)]
+    q_latent = {
+        name: np.stack([
+            _group_means(
                 rng.dirichlet(np.ones(binding.latent_cards[name]), size=data.n_rows),
                 inverse,
                 counts,
-            )
-            for name in binding.latent_names
-        }
-        q_theta = _m_step(binding, q_latent)
-        trace = [_elbo(binding, q_theta, q_latent)]
-        converged = False
-        for iteration in range(max_iterations):
-            if out_of_time():
-                cut = True
-                break
-            q_latent = _e_step(binding, q_theta, q_latent)
-            q_theta = _m_step(binding, q_latent)
-            trace.append(_elbo(binding, q_theta, q_latent))
-            # the first pass starts from the averaged draw, whose bound sits
-            # above the draw's own, so its small gain does not mean converged
-            if iteration and abs(trace[-1] - trace[-2]) < c:
-                converged = True
-                break
-        if best is None or trace[-1] > best[0].elbo_trace[-1]:
-            best = (VariationalState(q_theta, q_latent, tuple(trace)), converged)
-        if cut:
-            break
+            ).T
+            for rng in rngs
+        ])
+        for name in binding.latent_names
+    }
+    q_theta = _m_step(binding, q_latent)
+    bounds = _elbo(binding, q_theta, q_latent)
+    traces = [[value] for value in bounds.tolist()]
+    running = list(range(restarts))  # the restart at each batch position
+    # restart -> (dynamic tables, responsibilities, converged)
+    frozen: Dict[int, Tuple[dict, dict, bool]] = {}
 
-    fitted, converged = best
+    def freeze(positions, converged):
+        for i in positions:
+            frozen[running[i]] = (
+                {node: table[i] for node, table in q_theta.items()},
+                {name: q[i] for name, q in q_latent.items()},
+                converged,
+            )
+
+    cut = False
+    for iteration in range(max_iterations):
+        if deadline is not None and time.monotonic() >= deadline:
+            cut = True
+            break
+        q_latent = _e_step(binding, q_theta, q_latent)
+        q_theta = _m_step(binding, q_latent)
+        previous, bounds = bounds, _elbo(binding, q_theta, q_latent)
+        for restart, value in zip(running, bounds.tolist()):
+            traces[restart].append(value)
+        # the first pass starts from the averaged draw, whose bound sits
+        # above the draw's own, so its small gain does not mean converged
+        if not iteration:
+            continue
+        done = np.abs(bounds - previous) < c
+        if done.any():
+            freeze(np.flatnonzero(done), True)
+            keep = np.flatnonzero(~done)
+            running = [running[i] for i in keep]
+            if not running:
+                break
+            q_theta = {node: table[keep] for node, table in q_theta.items()}
+            q_latent = {name: q[keep] for name, q in q_latent.items()}
+            bounds = bounds[keep]
+    freeze(range(len(running)), False)
+
+    finals = [trace[-1] for trace in traces]
+    winner = finals.index(max(finals))
+    tables, responsibilities, converged = frozen[winner]
     state = VariationalState(
-        fitted.q_theta,
-        {name: q[inverse] for name, q in fitted.q_latent.items()},
-        fitted.elbo_trace,
+        binding.full_q_theta(tables),
+        {name: q.T[inverse] for name, q in responsibilities.items()},
+        tuple(traces[winner]),
     )
     value = state.elbo_trace[-1]
     report = ScoreReport(
@@ -581,6 +673,6 @@ def run_vbem(
         p_elbo=p_elbo(value, model.spec),
         iterations=len(state.elbo_trace),
         converged=converged and not cut,
-        restarts_used=started,
+        restarts_used=restarts,
     )
     return state, report

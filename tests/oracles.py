@@ -4,7 +4,9 @@ Everything here favours obviousness over speed: separation is decided by
 enumerating every simple path and applying the blocking definition node by
 node, Markov equivalence and marginal MAGs by comparing or reading full CI
 signatures, equivalence classes and PAGs by trying every orientation, and
-the reference VBEM fit keeps one responsibility vector per row. Only usable on small inputs, which is exactly what the tests feed it.
+the reference VBEM fit keeps one responsibility vector per row, and the
+sequential fit runs each restart alone. Only usable on small inputs, which
+is exactly what the tests feed it.
 """
 from __future__ import annotations
 
@@ -29,11 +31,13 @@ from confinder.graphs import (
 )
 from confinder.latentize import Latent, LatentizedDag, LatentSpec
 from confinder.seeds import derive_seed
+from confinder import vbem
 from confinder.vbem import (
     DEFAULT_CONVERGENCE,
     DEFAULT_ITERATION_CAP,
     DEFAULT_RESTARTS,
     Dataset,
+    FamilyPrior,
     VariationalState,
     elbo,
     vb_e_step,
@@ -370,12 +374,13 @@ def random_observed_dag(rng: random.Random, names) -> list:
     ]
 
 
-def random_latentized_instance(rng: random.Random):
-    """Small random model with 0-2 latents plus uniform random data."""
+def random_latentized_instance(rng: random.Random, max_latents: int = 2):
+    """Small random model with 0 to ``max_latents`` latents plus uniform
+    random data."""
     names = tuple("ABCDE"[: rng.randint(3, 5)])
     edges = random_observed_dag(rng, names)
     latents = []
-    for k in range(rng.randint(0, 2)):
+    for k in range(rng.randint(0, max_latents)):
         kids = tuple(rng.sample(names, rng.randint(2, min(3, len(names)))))
         latent = Latent(f"_L{k + 1}", kids, rng.randint(2, 3))
         latents.append(latent)
@@ -428,6 +433,54 @@ def reference_vbem(
             if iteration and abs(trace[-1] - trace[-2]) < c:
                 break
         fits.append(VariationalState(q_theta, q_latent, tuple(trace)))
+    return fits
+
+
+def sequential_vbem(
+    model: LatentizedDag,
+    data: Dataset,
+    c: float = DEFAULT_CONVERGENCE,
+    restarts: int = DEFAULT_RESTARTS,
+    seed: int = 0,
+    max_iterations: int = DEFAULT_ITERATION_CAP,
+) -> List[Tuple[VariationalState, bool]]:
+    """Every restart of ``run_vbem`` run alone, one after another.
+
+    Each restart is a batch of one through the fit's own E, M and bound
+    code, from the same initial draw, in the loop that ran restarts in
+    turn: it stops after a pass, not the first, that improves the bound by
+    less than ``c``, or after ``max_iterations`` passes. Returns each
+    restart's state over the distinct rows and whether it converged.
+    """
+    rows, inverse, counts = data._distinct_rows
+    binding = vbem._Binding(model, data, FamilyPrior(), rows, counts)
+    fits = []
+    for restart in range(restarts):
+        rng = np.random.default_rng(derive_seed(seed, "restart", restart))
+        q_latent = {
+            name: vbem._group_means(
+                rng.dirichlet(np.ones(binding.latent_cards[name]), size=data.n_rows),
+                inverse,
+                counts,
+            ).T[None]
+            for name in binding.latent_names
+        }
+        q_theta = vbem._m_step(binding, q_latent)
+        trace = [float(vbem._elbo(binding, q_theta, q_latent)[0])]
+        converged = False
+        for iteration in range(max_iterations):
+            q_latent = vbem._e_step(binding, q_theta, q_latent)
+            q_theta = vbem._m_step(binding, q_latent)
+            trace.append(float(vbem._elbo(binding, q_theta, q_latent)[0]))
+            if iteration and abs(trace[-1] - trace[-2]) < c:
+                converged = True
+                break
+        state = VariationalState(
+            binding.full_q_theta({node: table[0] for node, table in q_theta.items()}),
+            {name: q[0].T for name, q in q_latent.items()},
+            tuple(trace),
+        )
+        fits.append((state, converged))
     return fits
 
 

@@ -309,6 +309,22 @@ class TestExitCodes:
         assert code == EXIT_VALIDATION
         assert "line 3" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "edges, problem",
+        [
+            ("A --> _L1\n_L1 --> B\n", "line 4: latent '_L1' has parents"),
+            ("_L1 --> A\nA --> B\n", "line 4: latent '_L1' children do not match"),
+            ("A --> B\nB --> C\nC --> A\n_L1 --> A\n_L1 --> B\n", "parsed graph is not valid"),
+        ],
+    )
+    def test_malformed_model_is_validation(self, tmp_path, capsys, edges, problem):
+        text = "node A 2\nnode B 2\nnode C 2\nlatent _L1 states 2 children A B\n" + edges
+        (tmp_path / "bad.model").write_text(text)
+        (tmp_path / "d.csv").write_text("A,B,C\n0,1,0\n")
+        code = main(["score", str(tmp_path / "bad.model"), str(tmp_path / "d.csv")])
+        assert code == EXIT_VALIDATION
+        assert problem in capsys.readouterr().err
+
     def test_missing_file_is_validation(self, tmp_path, capsys):
         (tmp_path / "d.csv").write_text("A,B\n0,1\n")
         code = main(["learn", str(tmp_path / "nope.pag"), str(tmp_path / "d.csv")])

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from confinder.errors import LatentizationError
+from confinder.errors import InconsistentStateError, LatentizationError
 from confinder.graphs import Edge, GraphKind, MixedGraph, ci_signature, validate
 from confinder.latentize import (
     Latent,
@@ -154,14 +154,25 @@ def test_latentized_dag_rejects_latent_with_parents():
         Edge.directed("_L1", "B"),
         Edge.directed("A", "B"),
     )
-    with pytest.raises(ValueError, match="parents"):
+    # parsers reject such input first, so built in code it is a program fault
+    with pytest.raises(InconsistentStateError, match="parents"):
         LatentizedDag(g, LatentSpec((Latent("_L1", ("A", "B")),)))
 
 
 def test_latentized_dag_rejects_children_mismatch():
     g = dag(["A", "B", "C", "_L1"], Edge.directed("_L1", "A"), Edge.directed("_L1", "B"))
-    with pytest.raises(ValueError, match="children"):
+    with pytest.raises(InconsistentStateError, match="children"):
         LatentizedDag(g, LatentSpec((Latent("_L1", ("A", "C")),)))
+
+
+def test_latentized_dag_rejects_a_foreign_source_mag():
+    g = dag(["A", "B", "_L1"], Edge.directed("_L1", "A"), Edge.directed("_L1", "B"))
+    spec = LatentSpec((Latent("_L1", ("A", "B")),))
+    with pytest.raises(InconsistentStateError, match="source MAG nodes"):
+        LatentizedDag(g, spec, mag("ABC", Edge.bidirected("A", "B")))
+    with pytest.raises(InconsistentStateError, match="source_mag is not valid"):
+        cycle = mag("ABC", Edge.directed("A", "B"), Edge.directed("B", "C"), Edge.directed("C", "A"))
+        LatentizedDag(g, spec, cycle)
 
 
 def test_apply_spec_requires_full_coverage():

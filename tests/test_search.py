@@ -432,7 +432,7 @@ class TestAnytime:
         assert trace.stop_reason == "budget"
         assert len(trace.entries) == 1
         assert not best.report.converged
-        assert best.report.restarts_used < 50
+        assert best.report.iterations <= cfg.max_iterations
 
 
 class TestDeterminism:
