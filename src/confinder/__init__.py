@@ -8,7 +8,6 @@ from confinder.errors import (
     EnumerationLimitError,
     GraphFormatError,
     InconsistentStateError,
-    LatentizationError,
 )
 from confinder.experiment import (
     ExperimentSpec,

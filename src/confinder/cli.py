@@ -29,7 +29,6 @@ from confinder.errors import (
     EnumerationLimitError,
     GraphFormatError,
     InconsistentStateError,
-    LatentizationError,
 )
 from confinder.graphs import GraphKind
 from confinder.latentize import latentize_min
@@ -333,7 +332,6 @@ def main(argv=None) -> int:
     except (
         GraphFormatError,
         DataBindingError,
-        LatentizationError,
         ConstructionError,
         EnumerationLimitError,
         ValueError,

@@ -27,17 +27,14 @@ class ConstructionError(ConfinderError, ValueError):
     """No valid completion of a PAG exists; names the blocking edge."""
 
 
-class LatentizationError(ConfinderError, ValueError):
-    """No independence-preserving latent placement was found for a MAG."""
-
-
 class InconsistentStateError(ConfinderError, ValueError):
     """An internal invariant failed: a program fault, not bad input.
 
     Raised when a variational state's parameter posteriors do not match its
     responsibilities (the closed-form bound would be wrong, so we refuse),
     when responsibilities are not distributions or a bound trace decreases,
-    and when a search trace contradicts its winner or stop reason."""
+    when a search trace contradicts its winner or stop reason, and when no
+    latent placement reproduces a valid MAG's independencies."""
 
 
 class DataBindingError(ConfinderError, ValueError):

@@ -14,28 +14,23 @@ lives here too, since the experiment harness needs it to build ground truth.
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
-from confinder.errors import InconsistentStateError, LatentizationError
+from confinder.errors import InconsistentStateError
 from confinder.graphs import (
     Edge,
     GraphKind,
     MixedGraph,
-    SeparationQuery,
     ci_signature,
-    d_separated,
     has_inducing_path,
-    m_separated,
     require_valid,
 )
 
 LATENT_PREFIX = "_L"
 DEFAULT_LATENT_STATES = 2
 
-# verify walks every conditioning set, 3^n growth; past this many observed
-# nodes the caller must opt into sampled queries
+# verify walks every conditioning set, 3^n growth, so it refuses larger inputs
 EXHAUSTIVE_VERIFY_MAX_OBSERVED = 12
 
 
@@ -229,37 +224,21 @@ def apply_spec(mag: MixedGraph, spec: LatentSpec) -> LatentizedDag:
     return LatentizedDag(dag, spec, source_mag=mag)
 
 
-def verify_ci_equivalence(
-    candidate: LatentizedDag,
-    sample: Optional[int] = None,
-    seed: int = 0,
-) -> bool:
+def verify_ci_equivalence(candidate: LatentizedDag) -> bool:
     """Does the DAG entail exactly the MAG's independencies over observed?
 
-    Exhaustive signature comparison up to EXHAUSTIVE_VERIFY_MAX_OBSERVED
-    observed nodes. Beyond that the conditioning-set space is too large, so
-    the caller must pass ``sample`` to check that many randomly drawn
-    queries instead (a one-sided check: mismatches are definitive, agreement
-    is evidence only).
+    Exhaustive signature comparison; refuses more than
+    EXHAUSTIVE_VERIFY_MAX_OBSERVED observed nodes, where the
+    conditioning-set space is too large.
     """
     if candidate.source_mag is None:
         raise ValueError("candidate has no source MAG to compare against")
     observed = candidate.observed
     if len(observed) > EXHAUSTIVE_VERIFY_MAX_OBSERVED:
-        if sample is None:
-            raise ValueError(
-                f"{len(observed)} observed nodes exceed the exhaustive limit of "
-                f"{EXHAUSTIVE_VERIFY_MAX_OBSERVED}; pass sample=<n> to spot-check"
-            )
-        rng = random.Random(seed)
-        for _ in range(sample):
-            x, y = rng.sample(observed, 2)
-            rest = [n for n in observed if n != x and n != y]
-            z = frozenset(n for n in rest if rng.random() < 0.5)
-            q = SeparationQuery(x, y, z)
-            if d_separated(candidate.dag, q) != m_separated(candidate.source_mag, q):
-                return False
-        return True
+        raise ValueError(
+            f"{len(observed)} observed nodes exceed the exhaustive limit of "
+            f"{EXHAUSTIVE_VERIFY_MAX_OBSERVED}"
+        )
     return ci_signature(candidate.dag, observed) == ci_signature(
         candidate.source_mag, observed
     )
@@ -270,14 +249,14 @@ def latentize_min(mag: MixedGraph) -> LatentizedDag:
 
     Candidates are tried in ascending latent count; the finest grouping (one
     latent per bi-directed edge) always preserves the independencies, so a
-    valid MAG cannot fail here unless its size exceeds the verification
-    guard.
+    valid MAG within the verification guard always yields a model, and
+    finding none is a program fault (InconsistentStateError).
     """
     for spec in candidate_groupings(mag):
         candidate = apply_spec(mag, spec)
         if verify_ci_equivalence(candidate):
             return candidate
-    raise LatentizationError(
+    raise InconsistentStateError(
         f"no independence-preserving latent placement found for MAG with edges "
         f"{[f'{e.a}{e.mark_a.value}-{e.mark_b.value}{e.b}' for e in mag.edges]}"
     )

@@ -81,10 +81,6 @@ def _complete(pag: MixedGraph, marks: Dict[Slot, Mark], kind: GraphKind = GraphK
     return MixedGraph(kind, pag.nodes, tuple(edges))
 
 
-def _graph_key(g: MixedGraph):
-    return tuple((e.a, e.b, e.mark_a.value, e.mark_b.value) for e in g.edges)
-
-
 def _completions(pag: MixedGraph, non_colliders: Tuple[Triple, ...]) -> Iterator[MixedGraph]:
     """Every MAG completion of the PAG with no collider on ``non_colliders``.
 
@@ -154,7 +150,9 @@ def enumerate_mags(pag: MixedGraph, limit: Optional[int] = ENUMERATION_LIMIT) ->
 
     The walk over circle marks keeps the completions Markov equivalent to
     the reference MAG and groups them into strata by ascending
-    bi-directed-edge count. It prunes by the unshielded non-colliders of the
+    bi-directed-edge count; a stratum keeps the walk's order, which sorts
+    its MAGs by their marks in canonical edge order, tail before
+    arrowhead. It prunes by the unshielded non-colliders of the
     reference's maximal augmentation on the PAG's edges, which every class
     member shares; the PAG's own non-colliders would not do, since an
     inducing path of a non-maximal reference can shield one of them.
@@ -180,10 +178,7 @@ def enumerate_mags(pag: MixedGraph, limit: Optional[int] = ENUMERATION_LIMIT) ->
     for g in _completions(pag, non_colliders):
         if markov_equivalent(g, ref):
             by_count.setdefault(g.bidirected_count, []).append(g)
-    return [
-        MagStratum(count, tuple(sorted(by_count[count], key=_graph_key)))
-        for count in sorted(by_count)
-    ]
+    return [MagStratum(count, tuple(by_count[count])) for count in sorted(by_count)]
 
 
 def reference_mag(pag: MixedGraph) -> MixedGraph:

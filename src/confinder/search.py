@@ -1,20 +1,25 @@
 """Model selection over latentized DAGs.
 
-Two strategies share one scoring session:
+``run_search`` is the one search frame. It validates the PAG, opens a
+scoring session (clock, fit cache, trace, incumbent best), runs the walk
+the config's strategy selects, greedily grows the latent cardinalities of
+the model the walk returns (judged on the p-ELBO, like every other
+comparison) and reports the best model over everything visited. The two
+walks differ only in how they move through the MAG space:
 
-- incremental search walks the Markov-equivalent MAGs of the input PAG
-  stratum by stratum (ascending bi-directed-edge count), scoring every
-  minimally latentized member, and advances only while a stratum improves
-  on the incumbent;
-- hill-climbing starts from the deterministic reference MAG and moves
-  through single-mark orientation flips, never checking Markov
-  equivalence, preferring fewer bi-directed edges.
+- ``_ilcv`` walks the Markov-equivalent MAGs of the input PAG stratum by
+  stratum (ascending bi-directed-edge count), scoring every minimally
+  latentized member, and advances only while a stratum improves on the
+  incumbent;
+- ``_hclcv`` starts from the deterministic reference MAG and moves through
+  single-mark orientation flips, never checking Markov equivalence,
+  preferring fewer bi-directed edges.
 
-Both finish by greedily growing latent cardinalities (judged on the
-p-ELBO, like every other comparison) and report the best model over
-everything visited. Fits are seeded per model fingerprint, so a model
-scores identically wherever it is encountered, and every evaluation is
-logged in an anytime trace.
+A walk returns the model to grow and its stop reason, and returns at once
+when a budget check fails; the session marks the budget after every fit,
+and the frame then skips the growth and reports ``budget``. Fits are
+seeded per model fingerprint, so a model scores identically wherever it
+is encountered, and every evaluation is logged in an anytime trace.
 """
 from __future__ import annotations
 
@@ -139,11 +144,10 @@ class TraceEntry:
 class SearchTrace:
     """Everything a strategy evaluated, its winner, and why it stopped.
 
-    ``converged`` means the planned space was exhausted (all strata within
-    the cap improved, or the hill-climb ran out of in-cap moves after
-    improving); ``stratum-no-improvement`` and ``local-maximum`` are the
-    early stops of the respective strategies; ``budget`` marks an anytime
-    return.
+    ``converged`` means the incremental walk exhausted its space (every
+    stratum within the cap improved); ``stratum-no-improvement`` and
+    ``local-maximum`` are the early stops of the respective strategies;
+    ``budget`` marks an anytime return.
     """
 
     entries: Tuple[TraceEntry, ...]
@@ -262,21 +266,14 @@ def _greedy_states(session: _Session, start: ScoredModel) -> ScoredModel:
     return current
 
 
-def ilcv(
-    pag: MixedGraph, data: Dataset, cfg: SearchConfig
-) -> Tuple[ScoredModel, SearchTrace]:
-    """Incremental stratified search over the PAG's equivalence class.
+def _ilcv(session: _Session, pag: MixedGraph) -> Tuple[ScoredModel, str]:
+    """Incremental stratified walk over the PAG's equivalence class.
 
     Strata are visited in ascending bi-directed count; each member MAG is
     minimally latentized and fully scored. The walk advances only while a
-    stratum's best beats the incumbent, then the winner's latent
-    cardinalities are grown greedily. Budget expiry at any point returns
-    the best model seen so far.
+    stratum's best beats the incumbent, which it then returns for growth.
     """
-    if cfg.strategy is not Strategy.ILCV:
-        raise ValueError("config strategy does not select the incremental search")
-    require_valid(pag, GraphKind.PAG, "pag")
-    session = _Session(data, cfg)
+    cfg = session.cfg
     strata = enumerate_mags(pag, cfg.enumeration_limit)
     usable = [s for s in strata if s.bidirected_count <= cfg.max_bidirected]
     if not usable:
@@ -284,32 +281,21 @@ def ilcv(
             f"every MAG completion has more than {cfg.max_bidirected} "
             f"bi-directed edges"
         )
-    stop: Optional[str] = None
     incumbent: Optional[ScoredModel] = None
     for stratum in usable:
         stratum_best: Optional[ScoredModel] = None
         for mag in stratum.mags:
             # the first model is always scored so an anytime result exists
             if session.entries and session.out_of_time():
-                stop = "budget"
-                break
+                return session.best, "budget"
             scored = session.score(latentize_min(mag))
             if stratum_best is None or scored.p_elbo > stratum_best.p_elbo:
                 stratum_best = scored
-        if stop is not None:
-            break
         if incumbent is None or stratum_best.p_elbo > incumbent.p_elbo + SCORE_TOLERANCE:
             incumbent = stratum_best
         else:
-            stop = "stratum-no-improvement"
-            break
-    if stop is None:
-        stop = "converged"
-    if stop != "budget":
-        _greedy_states(session, incumbent)
-        if session.budget_hit:
-            stop = "budget"
-    return session.best, session.trace(stop)
+            return incumbent, "stratum-no-improvement"
+    return incumbent, "converged"
 
 
 def _carried_states(spec) -> Dict[Tuple[str, ...], int]:
@@ -325,29 +311,26 @@ def _with_carried(model: LatentizedDag, carried: Dict[Tuple[str, ...], int]) -> 
     return model.with_states(updates) if updates else model
 
 
-def hclcv(
-    pag: MixedGraph, data: Dataset, cfg: SearchConfig
-) -> Tuple[ScoredModel, SearchTrace]:
-    """Hill-climbing over orientations, skipping equivalence checks.
+def _hclcv(session: _Session, pag: MixedGraph) -> Tuple[ScoredModel, str]:
+    """Hill-climbing walk over orientations, skipping equivalence checks.
 
     Starts at the reference MAG, scores every in-cap single-flip neighbor,
     and moves to the best strictly improving one; latents whose children
     sets persist carry their learned state counts into the neighbor's
-    model. Stops at a local maximum or on budget, then grows cardinalities
-    as the incremental search does.
+    model. Returns the model it stops on, at a local maximum.
     """
-    if cfg.strategy is not Strategy.HCLCV:
-        raise ValueError("config strategy does not select the hill-climbing search")
-    require_valid(pag, GraphKind.PAG, "pag")
-    session = _Session(data, cfg)
+    cfg = session.cfg
     current_mag = reference_mag(pag)
+    if current_mag.bidirected_count > cfg.max_bidirected:
+        raise ConstructionError(
+            f"the reference MAG has {current_mag.bidirected_count} bi-directed "
+            f"edges, more than {cfg.max_bidirected}"
+        )
     current = session.score(latentize_min(current_mag))
     carried = _carried_states(current.model.spec)
-    stop: Optional[str] = None
     while True:
         if session.out_of_time():
-            stop = "budget"
-            break
+            return session.best, "budget"
         neighbors = [
             (move, mag)
             for move, mag in orientation_neighbors(current_mag, pag)
@@ -364,13 +347,10 @@ def hclcv(
         best_neighbor: Optional[Tuple[ScoredModel, MixedGraph]] = None
         for _move, mag in neighbors:
             if session.out_of_time():
-                stop = "budget"
-                break
+                return session.best, "budget"
             scored = session.score(_with_carried(latentize_min(mag), carried))
             if best_neighbor is None or scored.p_elbo > best_neighbor[0].p_elbo:
                 best_neighbor = (scored, mag)
-        if stop is not None:
-            break
         if (
             best_neighbor is not None
             and best_neighbor[0].p_elbo > current.p_elbo + SCORE_TOLERANCE
@@ -378,19 +358,23 @@ def hclcv(
             current, current_mag = best_neighbor
             carried = _carried_states(current.model.spec)
         else:
-            stop = "local-maximum"
-            break
-    if stop != "budget":
-        _greedy_states(session, current)
-        if session.budget_hit:
-            stop = "budget"
-    return session.best, session.trace(stop)
+            return current, "local-maximum"
 
 
 def run_search(
     pag: MixedGraph, data: Dataset, cfg: SearchConfig
 ) -> Tuple[ScoredModel, SearchTrace]:
-    """Dispatch to the strategy selected by the config."""
-    if cfg.strategy is Strategy.ILCV:
-        return ilcv(pag, data, cfg)
-    return hclcv(pag, data, cfg)
+    """Search the PAG's class for the best latentized DAG by p-ELBO.
+
+    Validates the PAG, runs the walk the config's strategy selects, grows
+    the latent cardinalities of the model it returns unless the budget
+    already ran out, and traces the run. The stop reason is ``budget``
+    whenever a budget check failed, else the walk's own reason.
+    """
+    require_valid(pag, GraphKind.PAG, "pag")
+    session = _Session(data, cfg)
+    walk = _ilcv if cfg.strategy is Strategy.ILCV else _hclcv
+    start, stop = walk(session, pag)
+    if not session.budget_hit:
+        _greedy_states(session, start)
+    return session.best, session.trace("budget" if session.budget_hit else stop)

@@ -1,7 +1,7 @@
 """Command-line behavior: outputs, round trips, exit codes."""
 import pytest
 
-from confinder import cli
+from confinder import cli, latentize
 from confinder.cli import EXIT_BUDGET, EXIT_INTERNAL, EXIT_OK, EXIT_VALIDATION, main
 from confinder.fileio import (
     parse_data,
@@ -359,6 +359,30 @@ class TestExitCodes:
         code = main(["learn", str(workdir / "true.pag"), str(workdir / "data.csv")])
         assert code == EXIT_INTERNAL
         assert "internal error" in capsys.readouterr().err
+
+    def test_failed_latentization_is_internal(self, tmp_path, monkeypatch, capsys):
+        # the finest grouping always verifies for a valid MAG, so finding no
+        # placement is a program fault, not bad input
+        (tmp_path / "pair.mag").write_text("node A 2\nnode B 2\nA <-> B\n")
+        monkeypatch.setattr(latentize, "verify_ci_equivalence", lambda candidate: False)
+        code = main(["latentize", str(tmp_path / "pair.mag")])
+        assert code == EXIT_INTERNAL
+        assert "no independence-preserving latent placement" in capsys.readouterr().err
+
+    def test_hill_climb_start_above_the_cap_is_validation(self, workdir, capsys):
+        code = main(
+            [
+                "learn",
+                str(workdir / "true.pag"),
+                str(workdir / "data.csv"),
+                "--strategy",
+                "hclcv",
+                "--max-bidirected",
+                "0",
+            ]
+        )
+        assert code == EXIT_VALIDATION
+        assert "reference MAG has 1 bi-directed" in capsys.readouterr().err
 
     def test_sample_size_validation(self, workdir, capsys):
         code = main(["sample", str(workdir / "truth.model"), "-n", "0"])

@@ -163,6 +163,28 @@ def test_reference_and_enumeration_match_the_oracle_on_circled_non_maximal_mags(
     assert set(all_mags(enumerate_mags(p))) == enumerate_oracle(p, expected)
 
 
+def mark_order(g):
+    return tuple((e.a, e.b, e.mark_a.value, e.mark_b.value) for e in g.edges)
+
+
+@given(st.integers(0, 10**6), st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_each_stratum_comes_in_mark_order(seed, maximal):
+    # the walk resolves circles in canonical edge order, tail ("-") before
+    # arrowhead (">"), so each stratum is already sorted by its marks
+    rng = random.Random(seed)
+    if maximal:
+        origin = random_maximal_mag(rng, rng.randint(3, 6))
+    else:
+        origin = random_non_maximal_mag(rng, rng.randint(4, 6))
+    try:
+        strata = enumerate_mags(circle_marks(rng, origin), limit=None)
+    except ConstructionError:
+        return
+    for s in strata:
+        assert list(s.mags) == sorted(s.mags, key=mark_order)
+
+
 def test_enumeration_keeps_a_member_with_a_collider_the_pag_does_not_orient():
     # the reference is not maximal: V0 <-> V2 <-> V3 <-> V1 with V2 --> V1 and
     # V3 --> V0 is an inducing path, so its augmentation shields (V0, V4, V1)

@@ -16,8 +16,6 @@ from confinder.search import (
     Strategy,
     TraceEntry,
     _with_carried,
-    hclcv,
-    ilcv,
     model_id,
     run_search,
 )
@@ -103,13 +101,6 @@ class TestConfig:
         with pytest.raises(ValueError):
             SearchConfig(strategy="greedy")
 
-    def test_strategy_mismatch_rejected(self):
-        data = pair_confounder_data(20, 0)
-        with pytest.raises(ValueError):
-            ilcv(circle_pag(), data, SearchConfig(strategy="hclcv"))
-        with pytest.raises(ValueError):
-            hclcv(circle_pag(), data, SearchConfig(strategy="ilcv"))
-
 
 class TestModelId:
     def test_sensitive_to_structure_and_states(self):
@@ -162,7 +153,7 @@ class TestDegenerateSearch:
         c = np.where(rng.random(40) < 0.2, 1 - b, b)
         data = Dataset((("A", 2), ("B", 2), ("C", 2)), np.column_stack([a, b, c]))
 
-        best, trace = ilcv(pag, data, SearchConfig())
+        best, trace = run_search(pag, data, SearchConfig())
         assert len(trace.entries) == 1
         assert trace.stop_reason == "converged"
         assert len(best.model.spec) == 0
@@ -185,7 +176,7 @@ class TestDegenerateSearch:
         data = pair_confounder_data(25, 2)
         rows = np.column_stack([data.rows[:, 0], data.rows[:, 1], data.rows[:, 0]])
         data3 = Dataset((("A", 2), ("B", 2), ("C", 2)), rows)
-        best, trace = hclcv(pag, data3, SearchConfig(strategy="hclcv"))
+        best, trace = run_search(pag, data3, SearchConfig(strategy="hclcv"))
         assert trace.stop_reason == "local-maximum"
         assert len(trace.entries) == 1
         assert len(best.model.spec) == 0
@@ -206,7 +197,7 @@ class TestChoiceConsistency:
         scored = [fitted(latentize_min(mag), data, cfg) for mag in candidates]
         expected = max(scored, key=lambda s: s.p_elbo)
 
-        best, trace = ilcv(circle_pag(), data, cfg)
+        best, trace = run_search(circle_pag(), data, cfg)
         assert best.model_id == expected.model_id
         assert best.p_elbo == expected.p_elbo
         ids = {entry.model_id for entry in trace.entries}
@@ -218,7 +209,7 @@ class TestChoiceConsistency:
         # must not hallucinate a confounder here no matter how strong the
         # dependence is
         data = pair_confounder_data(1000, 7, flip=0.02)
-        best, _ = ilcv(circle_pag(), data, SearchConfig())
+        best, _ = run_search(circle_pag(), data, SearchConfig())
         assert len(best.model.spec) == 0
 
 
@@ -229,7 +220,7 @@ class TestForcedConfounder:
         assert strata[0].bidirected_count == 1  # no pure-DAG member exists
         data = instrument_data(1000, 0)
         cfg = SearchConfig()
-        best, trace = ilcv(pag, data, cfg)
+        best, trace = run_search(pag, data, cfg)
         assert [(l.children, l.states) for l in best.model.spec.latents] == [
             (("B", "C"), 2)
         ]
@@ -240,8 +231,8 @@ class TestForcedConfounder:
     def test_hill_climb_agrees_and_never_beats_exhaustive(self):
         pag = instrument_pag()
         data = instrument_data(1000, 0)
-        ibest, _ = ilcv(pag, data, SearchConfig())
-        hbest, htrace = hclcv(pag, data, SearchConfig(strategy="hclcv"))
+        ibest, _ = run_search(pag, data, SearchConfig())
+        hbest, htrace = run_search(pag, data, SearchConfig(strategy="hclcv"))
         assert htrace.stop_reason == "local-maximum"
         assert hbest.p_elbo <= ibest.p_elbo + 1e-6
         assert hbest.model_id == ibest.model_id
@@ -249,7 +240,7 @@ class TestForcedConfounder:
     def test_all_worse_neighbors_stop_after_one_round(self):
         pag = instrument_pag()
         data = instrument_data(1000, 0)
-        hbest, htrace = hclcv(pag, data, SearchConfig(strategy="hclcv"))
+        hbest, htrace = run_search(pag, data, SearchConfig(strategy="hclcv"))
         # start MAG + its two in-budget neighbors + one rejected state bump
         assert len(htrace.entries) == 4
         assert htrace.entries[0].model_id == hbest.model_id
@@ -257,7 +248,7 @@ class TestForcedConfounder:
     def test_stratum_walk_is_an_ascending_prefix(self):
         pag = instrument_pag()
         data = instrument_data(600, 3)
-        _, trace = ilcv(pag, data, SearchConfig())
+        _, trace = run_search(pag, data, SearchConfig())
         walk = []
         for entry in trace.entries:
             if walk and entry.stratum < walk[-1]:
@@ -271,7 +262,16 @@ class TestForcedConfounder:
         pag = instrument_pag()
         data = instrument_data(100, 1)
         with pytest.raises(ConstructionError):
-            ilcv(pag, data, SearchConfig(max_bidirected=0))
+            run_search(pag, data, SearchConfig(max_bidirected=0))
+
+    def test_cap_below_the_reference_mag_is_an_error_for_hill_climbing(self):
+        # hill climbing starts at the reference MAG, whose B <-> C the cap
+        # of 0 already excludes, so it must not score that start
+        pag = instrument_pag()
+        assert reference_mag(pag).bidirected_count == 1
+        data = instrument_data(100, 1)
+        with pytest.raises(ConstructionError, match="reference MAG has 1 bi-directed"):
+            run_search(pag, data, SearchConfig(strategy="hclcv", max_bidirected=0))
 
 
 class TestMinimalLatentCount:
@@ -310,7 +310,7 @@ class TestMinimalLatentCount:
         )
 
         cfg = SearchConfig()
-        best, trace = ilcv(pag, data, cfg)
+        best, trace = run_search(pag, data, cfg)
         assert len(best.model.spec) == 2
         assert {l.children for l in best.model.spec.latents} == {
             ("B", "C"),
@@ -395,17 +395,28 @@ class TestAnytime:
         pag = instrument_pag()
         data = instrument_data(1000, 0)
         cfg = SearchConfig(strategy=strategy, budget_seconds=1e-6)
-        run = ilcv if strategy == "ilcv" else hclcv
-        best, trace = run(pag, data, cfg)
+        best, trace = run_search(pag, data, cfg)
         assert trace.stop_reason == "budget"
         assert len(trace.entries) >= 1
         assert best.p_elbo == max(e.p_elbo for e in trace.entries)
 
+    @pytest.mark.parametrize("strategy", ["ilcv", "hclcv"])
+    def test_one_model_run_over_budget_reports_budget(self, strategy):
+        # the only model is scored regardless; its fit runs past the deadline,
+        # so the run is over budget although the walk has nothing left to do
+        pag = MixedGraph(GraphKind.PAG, ("A", "B"), (Edge.directed("A", "B"),))
+        data = pair_confounder_data(50, 4)
+        cfg = SearchConfig(strategy=strategy, budget_seconds=1e-9)
+        best, trace = run_search(pag, data, cfg)
+        assert trace.stop_reason == "budget"
+        assert len(trace.entries) == 1
+        assert best.model_id == trace.entries[0].model_id
+
     def test_budget_trace_is_prefix_of_full_trace(self):
         pag = instrument_pag()
         data = instrument_data(1000, 0)
-        full_best, full = ilcv(pag, data, SearchConfig())
-        cut_best, cut = ilcv(pag, data, SearchConfig(budget_seconds=1e-6))
+        full_best, full = run_search(pag, data, SearchConfig())
+        cut_best, cut = run_search(pag, data, SearchConfig(budget_seconds=1e-6))
         full_ids = [e.model_id for e in full.entries]
         cut_ids = [e.model_id for e in cut.entries]
         assert cut_ids == full_ids[: len(cut_ids)]
@@ -441,9 +452,8 @@ class TestDeterminism:
         pag = instrument_pag()
         data = instrument_data(700, 5)
         cfg = SearchConfig(strategy=strategy, seed=42)
-        run = ilcv if strategy == "ilcv" else hclcv
-        best1, trace1 = run(pag, data, cfg)
-        best2, trace2 = run(pag, data, cfg)
+        best1, trace1 = run_search(pag, data, cfg)
+        best2, trace2 = run_search(pag, data, cfg)
         key1 = [(e.stratum, e.model_id, e.p_elbo) for e in trace1.entries]
         key2 = [(e.stratum, e.model_id, e.p_elbo) for e in trace2.entries]
         assert key1 == key2
@@ -454,8 +464,8 @@ class TestDeterminism:
     def test_shared_models_score_identically_across_strategies(self):
         pag = instrument_pag()
         data = instrument_data(700, 5)
-        _, trace_i = ilcv(pag, data, SearchConfig(seed=9))
-        _, trace_h = hclcv(pag, data, SearchConfig(strategy="hclcv", seed=9))
+        _, trace_i = run_search(pag, data, SearchConfig(seed=9))
+        _, trace_h = run_search(pag, data, SearchConfig(strategy="hclcv", seed=9))
         scores_i = {e.model_id: e.p_elbo for e in trace_i.entries}
         scores_h = {e.model_id: e.p_elbo for e in trace_h.entries}
         shared = set(scores_i) & set(scores_h)
@@ -512,10 +522,10 @@ class TestEquivalenceCheckUsage:
         pag = instrument_pag()
         data = instrument_data(300, 2)
         monkeypatch.setattr(confinder.magspace, "markov_equivalent", boom)
-        best, trace = hclcv(pag, data, SearchConfig(strategy="hclcv"))
+        best, trace = run_search(pag, data, SearchConfig(strategy="hclcv"))
         assert trace.stop_reason == "local-maximum"
         with pytest.raises(AssertionError):
-            ilcv(pag, data, SearchConfig())
+            run_search(pag, data, SearchConfig())
 
 
 class TestDispatch:
