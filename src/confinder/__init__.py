@@ -5,7 +5,6 @@ from confinder.errors import (
     ConfinderError,
     ConstructionError,
     DataBindingError,
-    EnumerationLimitError,
     GraphFormatError,
     InconsistentStateError,
 )

@@ -26,13 +26,12 @@ from confinder.errors import (
     ConfinderError,
     ConstructionError,
     DataBindingError,
-    EnumerationLimitError,
     GraphFormatError,
     InconsistentStateError,
 )
 from confinder.graphs import GraphKind
 from confinder.latentize import latentize_min
-from confinder.magspace import ENUMERATION_LIMIT, enumerate_mags
+from confinder.magspace import enumerate_mags
 from confinder.search import (
     DEFAULT_BUDGET_SECONDS,
     DEFAULT_MAX_BIDIRECTED,
@@ -78,7 +77,7 @@ def _add_search_flags(parser: argparse.ArgumentParser) -> None:
         "--budget-seconds",
         type=float,
         default=DEFAULT_BUDGET_SECONDS,
-        help=f"wall-clock budget; best-so-far is returned on expiry (default {DEFAULT_BUDGET_SECONDS:g})",
+        help=f"wall-clock budget, enumeration included; best-so-far is returned on expiry (default {DEFAULT_BUDGET_SECONDS:g})",
     )
     parser.add_argument(
         "--restarts",
@@ -87,12 +86,6 @@ def _add_search_flags(parser: argparse.ArgumentParser) -> None:
         help=f"VBEM random restarts per model (default {DEFAULT_RESTARTS})",
     )
     parser.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
-    parser.add_argument(
-        "--enumeration-limit",
-        type=int,
-        default=ENUMERATION_LIMIT,
-        help="orientation-space cap before enumeration refuses (default %(default)s)",
-    )
 
 
 def _add_normalize_flag(parser: argparse.ArgumentParser) -> None:
@@ -112,7 +105,6 @@ def _config_from(args: argparse.Namespace) -> SearchConfig:
         budget_seconds=args.budget_seconds,
         restarts=args.restarts,
         seed=args.seed,
-        enumeration_limit=args.enumeration_limit,
     )
 
 
@@ -165,12 +157,6 @@ def build_parser() -> argparse.ArgumentParser:
         "enumerate-mags", help="list the Markov-equivalent MAGs of a PAG by stratum"
     )
     p.add_argument("pag", help="PAG file")
-    p.add_argument(
-        "--limit",
-        type=int,
-        default=ENUMERATION_LIMIT,
-        help="orientation-space cap (default %(default)s)",
-    )
     p.add_argument("-o", "--output", default=None, help="output file (default stdout)")
 
     p = sub.add_parser(
@@ -280,7 +266,7 @@ def _cmd_score(args: argparse.Namespace) -> int:
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
     gf = fileio.parse_graph_file(Path(args.pag).read_text(), GraphKind.PAG)
-    strata = enumerate_mags(gf.graph, args.limit)
+    strata = enumerate_mags(gf.graph)
     blocks = []
     index = 1
     for stratum in strata:
@@ -333,7 +319,6 @@ def main(argv=None) -> int:
         GraphFormatError,
         DataBindingError,
         ConstructionError,
-        EnumerationLimitError,
         ValueError,
         OSError,
     ) as exc:

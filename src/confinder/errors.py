@@ -15,14 +15,6 @@ class GraphFormatError(ConfinderError, ValueError):
         super().__init__(message)
 
 
-class EnumerationLimitError(ConfinderError, RuntimeError):
-    """The orientation space of a PAG exceeds the configured limit.
-
-    Exhaustive enumeration would be too large; switch to the hill-climbing
-    strategy (``--strategy hclcv``) which never enumerates the full space.
-    """
-
-
 class ConstructionError(ConfinderError, ValueError):
     """No valid completion of a PAG exists; names the blocking edge."""
 

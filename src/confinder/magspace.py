@@ -9,15 +9,17 @@ the number of bi-directed edges; and the PAG of a maximal MAG keeps the
 marks its equivalent completions agree on. Single-mark neighbor moves for
 hill-climbing deliberately do NOT check equivalence.
 
-The enumeration refuses orientation spaces above an explicit limit instead
-of running unbounded.
+The enumeration runs to the end of the walk unless given a deadline; a walk
+cut at its deadline returns the class members found so far, plus the
+reference MAG.
 """
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from confinder.errors import ConstructionError, EnumerationLimitError
+from confinder.errors import ConstructionError
 from confinder.graphs import (
     GraphKind,
     Edge,
@@ -31,8 +33,6 @@ from confinder.graphs import (
     unshielded_triples,
     validate,
 )
-
-ENUMERATION_LIMIT = 100000
 
 Slot = Tuple[Tuple[str, str], str]  # (edge pair, endpoint node)
 Triple = Tuple[str, str, str]
@@ -81,7 +81,9 @@ def _complete(pag: MixedGraph, marks: Dict[Slot, Mark], kind: GraphKind = GraphK
     return MixedGraph(kind, pag.nodes, tuple(edges))
 
 
-def _completions(pag: MixedGraph, non_colliders: Tuple[Triple, ...]) -> Iterator[MixedGraph]:
+def _completions(
+    pag: MixedGraph, non_colliders: Tuple[Triple, ...], deadline: Optional[float] = None
+) -> Iterator[MixedGraph]:
     """Every MAG completion of the PAG with no collider on ``non_colliders``.
 
     Circle endpoints are resolved in canonical order, tail before arrowhead,
@@ -92,6 +94,10 @@ def _completions(pag: MixedGraph, non_colliders: Tuple[Triple, ...]) -> Iterator
     loses no completion, and every completion is a valid MAG. Raises
     ConstructionError, naming the deepest circle left unresolved, when no
     completion exists.
+
+    ``deadline`` is a ``time.monotonic()`` instant, checked before each
+    circle is resolved; past it the walk stops quietly after the
+    completions it has yielded.
     """
     slots = circle_slots(pag)
     # an edge's circles are adjacent slots; the last one completes the edge
@@ -101,6 +107,7 @@ def _completions(pag: MixedGraph, non_colliders: Tuple[Triple, ...]) -> Iterator
     ]
     marks: Dict[Slot, Mark] = {}
     deepest = 0
+    cut = False
 
     def mark_at(node: str, other: str) -> Mark:
         pair = (node, other) if node < other else (other, node)
@@ -128,10 +135,13 @@ def _completions(pag: MixedGraph, non_colliders: Tuple[Triple, ...]) -> Iterator
         return not any(g.is_ancestor(a, b) or g.is_ancestor(b, a) for a, b in g.bidirected_edges())
 
     def extend(i: int) -> Iterator[MixedGraph]:
-        nonlocal deepest
+        nonlocal deepest, cut
         deepest = max(deepest, i)
         if i == len(slots):
             yield _complete(pag, marks)
+            return
+        cut = cut or (deadline is not None and time.monotonic() >= deadline)
+        if cut:
             return
         for mark in (Mark.TAIL, Mark.ARROW):
             marks[slots[i]] = mark
@@ -140,12 +150,12 @@ def _completions(pag: MixedGraph, non_colliders: Tuple[Triple, ...]) -> Iterator
         del marks[slots[i]]
 
     yield from extend(0)
-    if deepest < len(slots):  # no prefix reached full length
+    if deepest < len(slots) and not cut:  # no prefix reached full length
         pair, node = slots[deepest]
         raise ConstructionError(f"no valid orientation for the circle at {node!r} on edge {pair}")
 
 
-def enumerate_mags(pag: MixedGraph, limit: Optional[int] = ENUMERATION_LIMIT) -> List[MagStratum]:
+def enumerate_mags(pag: MixedGraph, deadline: Optional[float] = None) -> List[MagStratum]:
     """All MAG completions of the PAG equivalent to its reference MAG.
 
     The walk over circle marks keeps the completions Markov equivalent to
@@ -157,17 +167,14 @@ def enumerate_mags(pag: MixedGraph, limit: Optional[int] = ENUMERATION_LIMIT) ->
     member shares; the PAG's own non-colliders would not do, since an
     inducing path of a non-maximal reference can shield one of them.
 
-    Raises EnumerationLimitError when the orientation space (2^#circles)
-    exceeds ``limit``; truncating silently would bias the search, so the
-    caller must switch to the hill-climbing strategy instead.
+    ``deadline`` is a ``time.monotonic()`` instant checked at every circle
+    the walk resolves. A walk cut there returns the members found so far,
+    each stratum a prefix of its uncut self, and always the reference: the
+    reference is one of the walk's completions, so a walk that has not
+    reached it has found only MAGs that come before it, and it goes at the
+    end of its stratum.
     """
     require_valid(pag, GraphKind.PAG, "pag")
-    candidates = 2 ** len(circle_slots(pag))
-    if limit is not None and candidates > limit:
-        raise EnumerationLimitError(
-            f"{candidates} candidate orientations exceed the limit of {limit}; "
-            f"use the hill-climbing strategy, which never enumerates the space"
-        )
     ref = reference_mag(pag)
     # the augmentation joins x and y exactly when an inducing path does
     non_colliders = tuple(
@@ -175,9 +182,13 @@ def enumerate_mags(pag: MixedGraph, limit: Optional[int] = ENUMERATION_LIMIT) ->
         if not is_collider(ref, *t) and not has_inducing_path(ref, t[0], t[2])
     )
     by_count: Dict[int, List[MixedGraph]] = {}
-    for g in _completions(pag, non_colliders):
+    reached = False
+    for g in _completions(pag, non_colliders, deadline):
         if markov_equivalent(g, ref):
             by_count.setdefault(g.bidirected_count, []).append(g)
+            reached = reached or g == ref
+    if not reached:  # the walk was cut before it
+        by_count.setdefault(ref.bidirected_count, []).append(ref)
     return [MagStratum(count, tuple(by_count[count])) for count in sorted(by_count)]
 
 

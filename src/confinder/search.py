@@ -32,12 +32,7 @@ from typing import Dict, List, Optional, Tuple
 from confinder.errors import ConstructionError, InconsistentStateError
 from confinder.graphs import GraphKind, MixedGraph, require_valid
 from confinder.latentize import LatentizedDag, latentize_min
-from confinder.magspace import (
-    ENUMERATION_LIMIT,
-    enumerate_mags,
-    orientation_neighbors,
-    reference_mag,
-)
+from confinder.magspace import enumerate_mags, orientation_neighbors, reference_mag
 from confinder.seeds import derive_seed
 from confinder.vbem import (
     DEFAULT_CONVERGENCE,
@@ -75,7 +70,8 @@ class SearchConfig:
 
     ``max_bidirected`` caps the explored stratum, ``convergence`` is the
     VBEM threshold, ``max_states`` bounds the greedy cardinality growth and
-    ``budget_seconds`` is the anytime wall-clock budget.
+    ``budget_seconds`` is the anytime wall-clock budget, which also bounds
+    ilcv's walk over the equivalence class.
     """
 
     strategy: Strategy = Strategy.ILCV
@@ -85,7 +81,6 @@ class SearchConfig:
     budget_seconds: float = DEFAULT_BUDGET_SECONDS
     restarts: int = DEFAULT_RESTARTS
     seed: int = 0
-    enumeration_limit: int = ENUMERATION_LIMIT
     alpha: float = 1.0
     max_iterations: int = DEFAULT_ITERATION_CAP
 
@@ -272,11 +267,18 @@ def _ilcv(session: _Session, pag: MixedGraph) -> Tuple[ScoredModel, str]:
     Strata are visited in ascending bi-directed count; each member MAG is
     minimally latentized and fully scored. The walk advances only while a
     stratum's best beats the incumbent, which it then returns for growth.
+    The enumeration stops at the session deadline with the members found so
+    far, the reference MAG among them.
     """
     cfg = session.cfg
-    strata = enumerate_mags(pag, cfg.enumeration_limit)
+    strata = enumerate_mags(pag, deadline=session.deadline)
     usable = [s for s in strata if s.bidirected_count <= cfg.max_bidirected]
     if not usable:
+        if session.out_of_time():
+            raise ConstructionError(
+                f"the budget ran out during enumeration before a MAG with at "
+                f"most {cfg.max_bidirected} bi-directed edges was found"
+            )
         raise ConstructionError(
             f"every MAG completion has more than {cfg.max_bidirected} "
             f"bi-directed edges"

@@ -1,4 +1,8 @@
 """Command-line behavior: outputs, round trips, exit codes."""
+import itertools
+import random
+import time
+
 import pytest
 
 from confinder import cli, latentize
@@ -183,6 +187,41 @@ class TestLearn:
         assert report["stop_reason"] == "budget"
         assert report["partial"] == "true"
 
+    def test_budget_bounds_the_class_walk(self, tmp_path, capsys):
+        # a 6-node o-o clique has 30 circles and a class walk far longer
+        # than the budget, so only the deadline inside the walk ends it
+        nodes = [f"X{i}" for i in range(6)]
+        (tmp_path / "clique.pag").write_text(
+            "".join(f"node {n} 2\n" for n in nodes)
+            + "".join(f"{a} o-o {b}\n" for a, b in itertools.combinations(nodes, 2))
+        )
+        rng = random.Random(0)
+        rows = [",".join(str(rng.randint(0, 1)) for _ in nodes) for _ in range(200)]
+        (tmp_path / "data.csv").write_text("\n".join([",".join(nodes), *rows]) + "\n")
+        budget = 2.0
+        started = time.monotonic()
+        code = main(
+            [
+                "learn",
+                str(tmp_path / "clique.pag"),
+                str(tmp_path / "data.csv"),
+                "--strategy",
+                "ilcv",
+                "--budget-seconds",
+                str(budget),
+                "--model-out",
+                str(tmp_path / "best.model"),
+                "--trace-out",
+                str(tmp_path / "trace.csv"),
+            ]
+        )
+        took = time.monotonic() - started
+        assert code == EXIT_BUDGET
+        assert took <= budget + 1.0
+        assert parse_report(capsys.readouterr().out)["stop_reason"] == "budget"
+        parse_latentized((tmp_path / "best.model").read_text())
+        assert len(parse_trace((tmp_path / "trace.csv").read_text())) >= 1
+
 
 class TestScore:
     def test_plain_dag_scores_deterministically(self, workdir, capsys):
@@ -248,6 +287,17 @@ class TestEnumerateAndLatentize:
         assert len(blocks) == 3
         tokens = sorted(b.splitlines()[-1] for b in blocks)
         assert tokens == ["A --> B", "A <-- B", "A <-> B"]
+
+    def test_a_ten_node_circle_chain_lists_its_nineteen_mags(self, tmp_path, capsys):
+        # 18 circles: 2^18 orientations, which no longer bars the walk
+        nodes = [f"N{i:02d}" for i in range(10)]
+        (tmp_path / "chain.pag").write_text(
+            "".join(f"node {n} 2\n" for n in nodes)
+            + "".join(f"{a} o-o {b}\n" for a, b in zip(nodes, nodes[1:]))
+        )
+        code = main(["enumerate-mags", str(tmp_path / "chain.pag")])
+        assert code == EXIT_OK
+        assert capsys.readouterr().out.count("# mag ") == 19
 
     def test_latentize_places_two_confounders(self, tmp_path, capsys):
         (tmp_path / "chain.mag").write_text(

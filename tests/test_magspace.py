@@ -1,5 +1,6 @@
 import itertools
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 import confinder.graphs
 import confinder.magspace
-from confinder.errors import ConstructionError, EnumerationLimitError
+from confinder.errors import ConstructionError
 from confinder.graphs import (
     Edge,
     GraphKind,
@@ -108,17 +109,61 @@ def test_enumeration_augments_the_reference_once(monkeypatch):
     assert len(others) == len({id(graph) for graph in others})
 
 
-def test_enumeration_limit_raises():
-    p = pag("AB", Edge.circle_circle("A", "B"))
-    with pytest.raises(EnumerationLimitError, match="hill-climbing"):
-        enumerate_mags(p, limit=2)
+def circle_chain(n):
+    nodes = [f"N{i:02d}" for i in range(n)]
+    return pag(nodes, *(Edge.circle_circle(a, b) for a, b in zip(nodes, nodes[1:])))
 
 
-def test_default_limit_guards_large_spaces():
-    nodes = [f"N{i:02d}" for i in range(10)]
-    edges = [Edge.circle_circle(a, b) for a, b in zip(nodes, nodes[1:])]
-    with pytest.raises(EnumerationLimitError):
-        enumerate_mags(pag(nodes, *edges), limit=100)
+def test_ten_node_circle_chain_enumerates_its_nineteen_mags():
+    # 18 circles, so 2^18 orientations, but the pruned walk never visits
+    # most of them: a chain with no collider has one source or one <-> edge
+    strata = enumerate_mags(circle_chain(10))
+    assert [s.bidirected_count for s in strata] == [0, 1]
+    assert [len(s.mags) for s in strata] == [10, 9]
+
+
+def test_zero_deadline_returns_the_reference_alone():
+    p = circle_chain(10)
+    ref = reference_mag(p)
+    assert enumerate_mags(p, deadline=0.0) == [MagStratum(ref.bidirected_count, (ref,))]
+
+
+class ExpiringClock:
+    """A monotonic clock that reads 0 for its first ``checks`` reads, then 1."""
+
+    def __init__(self, checks):
+        self.left = checks
+
+    def monotonic(self):
+        self.left -= 1
+        return 0.0 if self.left >= 0 else 1.0
+
+
+@given(st.integers(0, 10**6), st.integers(0, 40), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_a_cut_walk_keeps_a_prefix_of_each_stratum_and_the_reference(seed, checks, maximal):
+    rng = random.Random(seed)
+    if maximal:
+        origin = random_maximal_mag(rng, rng.randint(3, 6))
+    else:
+        origin = random_non_maximal_mag(rng, rng.randint(4, 6))
+    p = circle_marks(rng, origin)
+    try:
+        full = enumerate_mags(p)
+    except ConstructionError:
+        return
+    ref = reference_mag(p)
+    clock = ExpiringClock(checks)
+    with mock.patch.object(confinder.magspace, "time", clock):
+        cut = enumerate_mags(p, deadline=0.5)
+    if clock.left >= 0:  # the clock never expired: the walk ran to the end
+        assert cut == full
+    whole = {s.bidirected_count: list(s.mags) for s in full}
+    assert all_mags(cut).count(ref) == 1
+    for s in cut:
+        found = list(s.mags)
+        prefix = whole[s.bidirected_count][: len(found)]
+        assert found == prefix or (found[-1] == ref and found[:-1] == prefix[:-1])
 
 
 def test_enumerate_rejects_invalid_pag():
@@ -178,7 +223,7 @@ def test_each_stratum_comes_in_mark_order(seed, maximal):
     else:
         origin = random_non_maximal_mag(rng, rng.randint(4, 6))
     try:
-        strata = enumerate_mags(circle_marks(rng, origin), limit=None)
+        strata = enumerate_mags(circle_marks(rng, origin))
     except ConstructionError:
         return
     for s in strata:

@@ -261,8 +261,19 @@ class TestForcedConfounder:
     def test_cap_below_minimum_stratum_is_an_error(self):
         pag = instrument_pag()
         data = instrument_data(100, 1)
-        with pytest.raises(ConstructionError):
+        with pytest.raises(ConstructionError, match="every MAG completion has more than 0"):
             run_search(pag, data, SearchConfig(max_bidirected=0))
+
+    def test_cap_below_the_reference_of_a_cut_walk_names_the_budget(self):
+        # the deadline has passed when the walk starts, so it returns the
+        # reference alone, whose B <-> C the cap of 0 excludes; whether a
+        # member within the cap exists is unknown, so the error says why
+        pag = instrument_pag()
+        assert reference_mag(pag).bidirected_count == 1
+        data = instrument_data(100, 1)
+        cfg = SearchConfig(max_bidirected=0, budget_seconds=1e-9)
+        with pytest.raises(ConstructionError, match="budget ran out during enumeration"):
+            run_search(pag, data, cfg)
 
     def test_cap_below_the_reference_mag_is_an_error_for_hill_climbing(self):
         # hill climbing starts at the reference MAG, whose B <-> C the cap
