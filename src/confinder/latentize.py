@@ -4,9 +4,9 @@ Each bi-directed edge marks a confounded pair. Replacing every such edge by
 its own parentless binary latent always reproduces the MAG's conditional
 independencies over the observed variables, but connected groups of
 bi-directed edges can sometimes share a single latent. This module
-enumerates the connectivity-respecting groupings, checks each candidate DAG
-for independence equivalence with the source MAG, and returns the one with
-the fewest latents.
+enumerates the connectivity-respecting groupings lazily, fewest latents
+first, checks each candidate DAG for independence equivalence with the
+source MAG, and returns the first that passes.
 
 The reverse direction, marginalising a DAG's latent variables into a MAG,
 lives here too, since the experiment harness needs it to build ground truth.
@@ -14,6 +14,7 @@ lives here too, since the experiment harness needs it to build ground truth.
 from __future__ import annotations
 
 import itertools
+import time
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
@@ -139,15 +140,19 @@ class LatentizedDag:
         return LatentizedDag(self.dag, self.spec.with_states(states), self.source_mag)
 
 
-def _set_partitions(items: Sequence) -> Iterator[List[List]]:
-    """Every partition of ``items`` into non-empty unordered blocks."""
+def _partitions(items: Sequence, count: int) -> Iterator[List[List]]:
+    """Every partition of ``items`` into ``count`` non-empty unordered blocks."""
     if not items:
-        yield []
+        if count == 0:
+            yield []
+        return
+    if not 0 < count <= len(items):
         return
     first, rest = items[0], items[1:]
-    for part in _set_partitions(rest):
+    for part in _partitions(rest, count):
         for i in range(len(part)):
             yield part[:i] + [[first] + part[i]] + part[i + 1:]
+    for part in _partitions(rest, count - 1):
         yield [[first]] + part
 
 
@@ -175,34 +180,40 @@ def _reject_reserved_names(nodes: Sequence[str]) -> None:
         )
 
 
-def candidate_groupings(mag: MixedGraph) -> List[LatentSpec]:
+def _spec(groups: Sequence[Tuple[str, ...]]) -> LatentSpec:
+    return LatentSpec(
+        tuple(
+            Latent(f"{LATENT_PREFIX}{i}", children)
+            for i, children in enumerate(groups, start=1)
+        )
+    )
+
+
+def candidate_groupings(mag: MixedGraph) -> Iterator[LatentSpec]:
     """All connectivity-respecting ways to cover the bi-directed edges.
 
     Each partition block must be a connected subgraph of the bi-directed
     skeleton; the block's endpoint union becomes one binary latent's
-    children. Candidates are ordered by ascending latent count, then by the
+    children. Candidates come lazily in ascending latent count, each count
+    built only once the previous one is used up, and within a count in the
     canonical order of their children sets, so the first verified candidate
-    is the deterministic minimum.
+    is the deterministic minimum. The MAG is checked before this returns.
     """
     require_valid(mag, GraphKind.MAG, "mag")
     _reject_reserved_names(mag.nodes)
     pairs = list(mag.bidirected_edges())
-    specs = []
-    for part in _set_partitions(pairs):
-        if not all(_block_connected(block) for block in part):
-            continue
-        groups = sorted(tuple(sorted({n for e in block for n in e})) for block in part)
-        specs.append(
-            LatentSpec(
-                tuple(
-                    Latent(f"{LATENT_PREFIX}{i}", children)
-                    for i, children in enumerate(groups, start=1)
-                )
-            )
-        )
-    unique = list(dict.fromkeys(specs))
-    unique.sort(key=lambda s: (len(s), tuple(l.children for l in s.latents)))
-    return unique
+
+    def by_count() -> Iterator[LatentSpec]:
+        for count in range(min(1, len(pairs)), len(pairs) + 1):
+            families = {
+                tuple(sorted(tuple(sorted({n for e in block for n in e})) for block in part))
+                for part in _partitions(pairs, count)
+                if all(_block_connected(block) for block in part)
+            }
+            for groups in sorted(families):
+                yield _spec(groups)
+
+    return by_count()
 
 
 def apply_spec(mag: MixedGraph, spec: LatentSpec) -> LatentizedDag:
@@ -244,15 +255,21 @@ def verify_ci_equivalence(candidate: LatentizedDag) -> bool:
     )
 
 
-def latentize_min(mag: MixedGraph) -> LatentizedDag:
+def latentize_min(mag: MixedGraph, deadline: Optional[float] = None) -> LatentizedDag:
     """The DAG with the fewest binary latents preserving the MAG's CIs.
 
     Candidates are tried in ascending latent count; the finest grouping (one
     latent per bi-directed edge) always preserves the independencies, so a
     valid MAG within the verification guard always yields a model, and
     finding none is a program fault (InconsistentStateError).
+
+    ``deadline`` is a ``time.monotonic()`` instant checked before each
+    verification. Once it has passed, the finest grouping comes back
+    unverified, since it preserves the independencies by construction.
     """
     for spec in candidate_groupings(mag):
+        if deadline is not None and time.monotonic() >= deadline:
+            return apply_spec(mag, _spec(sorted(mag.bidirected_edges())))
         candidate = apply_spec(mag, spec)
         if verify_ci_equivalence(candidate):
             return candidate

@@ -268,7 +268,8 @@ def _ilcv(session: _Session, pag: MixedGraph) -> Tuple[ScoredModel, str]:
     minimally latentized and fully scored. The walk advances only while a
     stratum's best beats the incumbent, which it then returns for growth.
     The enumeration stops at the session deadline with the members found so
-    far, the reference MAG among them.
+    far, the reference MAG among them, and a MAG latentized past it gets
+    the finest grouping, one latent per bi-directed edge.
     """
     cfg = session.cfg
     strata = enumerate_mags(pag, deadline=session.deadline)
@@ -290,7 +291,7 @@ def _ilcv(session: _Session, pag: MixedGraph) -> Tuple[ScoredModel, str]:
             # the first model is always scored so an anytime result exists
             if session.entries and session.out_of_time():
                 return session.best, "budget"
-            scored = session.score(latentize_min(mag))
+            scored = session.score(latentize_min(mag, deadline=session.deadline))
             if stratum_best is None or scored.p_elbo > stratum_best.p_elbo:
                 stratum_best = scored
         if incumbent is None or stratum_best.p_elbo > incumbent.p_elbo + SCORE_TOLERANCE:
@@ -319,7 +320,8 @@ def _hclcv(session: _Session, pag: MixedGraph) -> Tuple[ScoredModel, str]:
     Starts at the reference MAG, scores every in-cap single-flip neighbor,
     and moves to the best strictly improving one; latents whose children
     sets persist carry their learned state counts into the neighbor's
-    model. Returns the model it stops on, at a local maximum.
+    model. Returns the model it stops on, at a local maximum. A MAG
+    latentized past the session deadline gets the finest grouping.
     """
     cfg = session.cfg
     current_mag = reference_mag(pag)
@@ -328,7 +330,7 @@ def _hclcv(session: _Session, pag: MixedGraph) -> Tuple[ScoredModel, str]:
             f"the reference MAG has {current_mag.bidirected_count} bi-directed "
             f"edges, more than {cfg.max_bidirected}"
         )
-    current = session.score(latentize_min(current_mag))
+    current = session.score(latentize_min(current_mag, deadline=session.deadline))
     carried = _carried_states(current.model.spec)
     while True:
         if session.out_of_time():
@@ -350,7 +352,8 @@ def _hclcv(session: _Session, pag: MixedGraph) -> Tuple[ScoredModel, str]:
         for _move, mag in neighbors:
             if session.out_of_time():
                 return session.best, "budget"
-            scored = session.score(_with_carried(latentize_min(mag), carried))
+            model = latentize_min(mag, deadline=session.deadline)
+            scored = session.score(_with_carried(model, carried))
             if best_neighbor is None or scored.p_elbo > best_neighbor[0].p_elbo:
                 best_neighbor = (scored, mag)
         if (

@@ -2,18 +2,20 @@
 
 Everything here favours obviousness over speed: separation is decided by
 enumerating every simple path and applying the blocking definition node by
-node, Markov equivalence and marginal MAGs by comparing or reading full CI
-signatures, equivalence classes and PAGs by trying every orientation, and
-the reference VBEM fit keeps one responsibility vector per row, and the
-sequential fit runs each restart alone. Only usable on small inputs, which
-is exactly what the tests feed it.
+node, CI signatures by one walk per query, Markov equivalence and marginal
+MAGs by comparing or reading full CI signatures, equivalence classes and
+PAGs by trying every orientation, latent groupings by building every
+partition before sorting, and the reference VBEM fit keeps one
+responsibility vector per row, and the sequential fit runs each restart
+alone. Only usable on small inputs, which is exactly what the tests feed
+it.
 """
 from __future__ import annotations
 
 import itertools
 import math
 import random
-from typing import FrozenSet, Iterable, Iterator, List, Sequence, Tuple
+from typing import FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.special import digamma, gammaln
@@ -23,13 +25,22 @@ from confinder.graphs import (
     GraphKind,
     Mark,
     MixedGraph,
+    SeparationQuery,
     ci_signature,
+    d_separated,
     is_collider,
+    m_separated,
     markov_equivalent,
     unshielded_triples,
     validate,
 )
-from confinder.latentize import Latent, LatentizedDag, LatentSpec
+from confinder.latentize import (
+    LATENT_PREFIX,
+    Latent,
+    LatentizedDag,
+    LatentSpec,
+    _block_connected,
+)
 from confinder.seeds import derive_seed
 from confinder import vbem
 from confinder.vbem import (
@@ -96,6 +107,17 @@ def all_queries(nodes: Iterable[str]) -> Iterator[Tuple[str, str, FrozenSet[str]
         for r in range(len(rest) + 1):
             for z in itertools.combinations(rest, r):
                 yield x, y, frozenset(z)
+
+
+def ci_signature_oracle(graph: MixedGraph, over: Optional[Iterable[str]] = None) -> FrozenSet:
+    """``ci_signature`` by one separation query per (x, y, z), each a fresh
+    reachability walk of ``d_separated`` or ``m_separated``."""
+    separated = d_separated if graph.kind is GraphKind.DAG else m_separated
+    return frozenset(
+        (x, y, tuple(sorted(z)))
+        for x, y, z in all_queries(graph.nodes if over is None else over)
+        if separated(graph, SeparationQuery(x, y, z))
+    )
 
 
 def random_dag(rng: random.Random, n_nodes: int, edge_prob: float = 0.4) -> MixedGraph:
@@ -316,6 +338,42 @@ def pag_of_mag_oracle(mag: MixedGraph) -> MixedGraph:
         mb = e.mark_b if len(marks_b) == 1 else Mark.CIRCLE
         pag_edges.append(Edge(e.a, e.b, ma, mb))
     return MixedGraph(GraphKind.PAG, mag.nodes, tuple(pag_edges))
+
+
+# -- latent groupings, built eagerly -----------------------------------------
+
+def set_partitions(items: Sequence) -> Iterator[List[List]]:
+    """Every partition of ``items`` into non-empty unordered blocks."""
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for part in set_partitions(rest):
+        for i in range(len(part)):
+            yield part[:i] + [[first] + part[i]] + part[i + 1:]
+        yield [[first]] + part
+
+
+def candidate_groupings_oracle(mag: MixedGraph) -> List[LatentSpec]:
+    """Every connectivity-respecting grouping as one list: all partitions
+    of the bi-directed edges are built first, then deduplicated and sorted
+    by latent count and children sets."""
+    specs = []
+    for part in set_partitions(list(mag.bidirected_edges())):
+        if not all(_block_connected(block) for block in part):
+            continue
+        groups = sorted(tuple(sorted({n for e in block for n in e})) for block in part)
+        specs.append(
+            LatentSpec(
+                tuple(
+                    Latent(f"{LATENT_PREFIX}{i}", children)
+                    for i, children in enumerate(groups, start=1)
+                )
+            )
+        )
+    unique = list(dict.fromkeys(specs))
+    unique.sort(key=lambda s: (len(s), tuple(l.children for l in s.latents)))
+    return unique
 
 
 # -- exact Bayesian scores, pure python ---------------------------------------

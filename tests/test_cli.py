@@ -223,6 +223,60 @@ class TestLearn:
         assert len(parse_trace((tmp_path / "trace.csv").read_text())) >= 1
 
 
+    # 12 variables, 14 circle marks: every verification walks the
+    # conditioning sets of 12 observed nodes, and the class holds 252 MAGs
+    TWELVE_PAG = "".join(f"node V{i} 2\n" for i in range(12)) + """\
+V0 <-o V10
+V0 <-o V9
+V1 <-o V4
+V1 <-o V9
+V10 o-> V11
+V11 <-- V6
+V11 <-- V7
+V2 <-> V3
+V2 o-o V5
+V2 <-o V8
+V3 <-> V5
+V3 <-o V7
+V4 o-o V7
+V5 --> V6
+V5 <-o V8
+V7 o-o V8
+"""
+
+    @pytest.mark.parametrize("strategy", ["ilcv", "hclcv"])
+    def test_budget_bounds_a_twelve_variable_search(self, tmp_path, capsys, strategy):
+        (tmp_path / "twelve.pag").write_text(self.TWELVE_PAG)
+        names = [f"V{i}" for i in range(12)]
+        rng = random.Random(0)
+        rows = [",".join(str(rng.randint(0, 1)) for _ in names) for _ in range(200)]
+        (tmp_path / "data.csv").write_text("\n".join([",".join(names), *rows]) + "\n")
+        budget = 5.0
+        started = time.monotonic()
+        code = main(
+            [
+                "learn",
+                str(tmp_path / "twelve.pag"),
+                str(tmp_path / "data.csv"),
+                "--strategy",
+                strategy,
+                "--budget-seconds",
+                str(budget),
+                "--model-out",
+                str(tmp_path / "best.model"),
+                "--trace-out",
+                str(tmp_path / "trace.csv"),
+            ]
+        )
+        took = time.monotonic() - started
+        assert code in (EXIT_OK, EXIT_BUDGET)
+        assert took <= budget + 1.0
+        report = parse_report(capsys.readouterr().out)
+        assert (report["stop_reason"] == "budget") == (code == EXIT_BUDGET)
+        parse_latentized((tmp_path / "best.model").read_text())
+        assert len(parse_trace((tmp_path / "trace.csv").read_text())) >= 1
+
+
 class TestScore:
     def test_plain_dag_scores_deterministically(self, workdir, capsys):
         (workdir / "dag.model").write_text(

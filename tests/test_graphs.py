@@ -20,6 +20,7 @@ from confinder.graphs import (
 )
 from oracles import (
     all_queries,
+    ci_signature_oracle,
     is_maximal_oracle,
     markov_equivalent_oracle,
     orient_randomly,
@@ -259,6 +260,58 @@ def test_bidirected_chain_matches_two_latent_dag():
     )
     over = {"X1", "X2", "X3"}
     assert ci_signature(m, over) == ci_signature(d, over)
+
+
+@given(st.integers(0, 10**6))
+@settings(max_examples=60, deadline=None)
+def test_signature_matches_per_query_oracle(seed):
+    rng = random.Random(seed)
+    n = rng.randint(2, 8)
+    kind = rng.randrange(3)
+    if kind == 0:
+        g = random_dag(rng, n, rng.choice((0.3, 0.5)))
+        # the hidden nodes are marginalised, not removed
+        over = rng.sample(g.nodes, rng.randint(0, n))
+    elif kind == 1:
+        g, over = random_mag(rng, n), None
+    else:
+        g, over = random_non_maximal_mag(rng, max(n, 4)), None
+    assert ci_signature(g, over) == ci_signature_oracle(g, over)
+
+
+def test_signature_of_tiny_scopes_is_empty():
+    g = dag("ABC", Edge.directed("A", "B"), Edge.directed("B", "C"))
+    for over in ((), ("B",)):
+        assert ci_signature(g, over) == frozenset() == ci_signature_oracle(g, over)
+
+
+def test_signature_with_isolated_nodes():
+    g = mag("ABCD", Edge.bidirected("A", "B"))
+    sig = ci_signature(g)
+    assert sig == ci_signature_oracle(g)
+    assert ("C", "D", ("A", "B")) in sig
+    assert not any(x == "A" and y == "B" for x, y, _z in sig)
+
+
+def test_hidden_collider_opens_only_through_an_observed_descendant():
+    # H has no observed descendant, so conditioning never opens A -> H <- B;
+    # K's observed child D does open A -> K <- C
+    g = dag(
+        "A B C D H K L M".split(),
+        Edge.directed("A", "H"),
+        Edge.directed("B", "H"),
+        Edge.directed("H", "L"),
+        Edge.directed("A", "K"),
+        Edge.directed("C", "K"),
+        Edge.directed("K", "D"),
+        Edge.directed("M", "L"),
+    )
+    over = ("A", "B", "C", "D")
+    sig = ci_signature(g, over)
+    assert sig == ci_signature_oracle(g, over)
+    assert {("A", "B", z) for z in ((), ("C",), ("D",), ("C", "D"))} <= sig
+    assert ("A", "C", ()) in sig
+    assert ("A", "C", ("D",)) not in sig
 
 
 def test_signature_guard():

@@ -1,10 +1,12 @@
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from confinder import latentize
 from confinder.errors import InconsistentStateError
 from confinder.graphs import Edge, GraphKind, MixedGraph, ci_signature, validate
 from confinder.latentize import (
@@ -17,7 +19,16 @@ from confinder.latentize import (
     project_to_mag,
     verify_ci_equivalence,
 )
-from oracles import project_to_mag_oracle, random_dag, random_maximal_mag
+from oracles import (
+    candidate_groupings_oracle,
+    ci_signature_oracle,
+    project_to_mag_oracle,
+    random_dag,
+    random_latentized_instance,
+    random_mag,
+    random_maximal_mag,
+    random_non_maximal_mag,
+)
 
 
 def mag(nodes, *edges):
@@ -83,14 +94,14 @@ def oracle_groupings(source):
 
 def test_disjoint_pairs_cannot_share_a_latent():
     m = mag("ABCD", Edge.bidirected("A", "B"), Edge.bidirected("C", "D"))
-    specs = candidate_groupings(m)
+    specs = list(candidate_groupings(m))
     assert len(specs) == 1
     assert children_sets(specs[0]) == [("A", "B"), ("C", "D")]
 
 
 def test_chain_offers_merged_and_split_groupings():
     m = mag("X1 X2 X3".split(), Edge.bidirected("X1", "X2"), Edge.bidirected("X2", "X3"))
-    specs = candidate_groupings(m)
+    specs = list(candidate_groupings(m))
     assert [children_sets(s) for s in specs] == [
         [("X1", "X2", "X3")],
         [("X1", "X2"), ("X2", "X3")],
@@ -103,7 +114,7 @@ def test_star_groupings_count_partitions(k, bell):
     # the candidate count is the full Bell number
     nodes = ["H"] + [f"S{i}" for i in range(k)]
     m = mag(nodes, *[Edge.bidirected("H", s) for s in nodes[1:]])
-    specs = candidate_groupings(m)
+    specs = list(candidate_groupings(m))
     assert len(specs) == bell
     assert [children_sets(s) for s in specs] == oracle_groupings(m)
 
@@ -113,10 +124,31 @@ def test_star_groupings_count_partitions(k, bell):
 def test_groupings_match_partition_oracle(seed):
     rng = random.Random(seed)
     m = random_maximal_mag(rng, 5, edge_prob=0.4)
-    specs = candidate_groupings(m)
+    specs = list(candidate_groupings(m))
     assert [children_sets(s) for s in specs] == oracle_groupings(m)
     counts = [len(s) for s in specs]
     assert counts == sorted(counts)
+
+
+@given(st.integers(0, 10**6))
+@settings(max_examples=40, deadline=None)
+def test_lazy_groupings_keep_the_eager_order(seed):
+    rng = random.Random(seed)
+    n = rng.randint(2, 6)
+    if rng.random() < 0.7:
+        m = random_mag(rng, n, 0.35)
+    else:
+        m = random_non_maximal_mag(rng, max(n, 4), 0.2)
+    assert list(candidate_groupings(m)) == candidate_groupings_oracle(m)
+
+
+def test_clique_yields_its_single_latent_first():
+    # 10 bi-directed edges: the eager list holds every partition of them,
+    # but the first grouping needs only the one-block partition
+    nodes = "ABCDE"
+    m = mag(nodes, *[Edge.bidirected(a, b) for a, b in itertools.combinations(nodes, 2)])
+    assert children_sets(next(candidate_groupings(m))) == [tuple(nodes)]
+    assert children_sets(latentize_min(m).spec) == [tuple(nodes)]
 
 
 def test_reserved_names_rejected():
@@ -201,7 +233,7 @@ def test_chain_needs_two_latents():
     result = latentize_min(m)
     assert children_sets(result.spec) == [("X1", "X2"), ("X2", "X3")]
 
-    merged = apply_spec(m, candidate_groupings(m)[0])
+    merged = apply_spec(m, next(candidate_groupings(m)))
     assert len(merged.spec) == 1
     assert not verify_ci_equivalence(merged)
     # the merged latent destroys the marginal independence of X1 and X3
@@ -234,6 +266,34 @@ def test_minimality_and_equivalence(seed):
             assert not verify_ci_equivalence(apply_spec(m, spec))
 
 
+def test_passed_deadline_returns_the_finest_grouping(monkeypatch):
+    # a bi-directed triangle has no independencies: one latent verifies
+    m = mag("ABC", *[Edge.bidirected(a, b) for a, b in itertools.combinations("ABC", 2)])
+    assert children_sets(latentize_min(m).spec) == [("A", "B", "C")]
+    assert latentize_min(m, deadline=time.monotonic() + 3600) == latentize_min(m)
+    verified = []
+    monkeypatch.setattr(latentize, "verify_ci_equivalence", verified.append)
+    finest = latentize_min(m, deadline=0.0)
+    assert verified == []
+    assert children_sets(finest.spec) == [("A", "B"), ("A", "C"), ("B", "C")]
+    assert finest == apply_spec(m, list(candidate_groupings(m))[-1])
+    monkeypatch.undo()
+    assert verify_ci_equivalence(finest)
+
+
+@given(st.integers(0, 10**6))
+@settings(max_examples=25, deadline=None)
+def test_signatures_of_every_candidate_match_the_oracle(seed):
+    rng = random.Random(seed)
+    model, _data = random_latentized_instance(rng, max_latents=3)
+    observed = model.observed
+    assert ci_signature(model.dag, observed) == ci_signature_oracle(model.dag, observed)
+    source = project_to_mag(model.dag, observed)
+    for spec in candidate_groupings(source):
+        candidate = apply_spec(source, spec).dag
+        assert ci_signature(candidate, observed) == ci_signature_oracle(candidate, observed)
+
+
 # -- verify_ci_equivalence ------------------------------------------------------
 
 def test_verify_needs_a_source():
@@ -245,7 +305,7 @@ def test_verify_needs_a_source():
 def test_verify_refuses_large_models():
     nodes = [f"N{i:02d}" for i in range(13)]
     m = mag(nodes, Edge.bidirected(nodes[0], nodes[1]))
-    result = apply_spec(m, candidate_groupings(m)[0])
+    result = apply_spec(m, next(candidate_groupings(m)))
     with pytest.raises(ValueError, match="exceed the exhaustive limit of 12"):
         verify_ci_equivalence(result)
 
