@@ -413,12 +413,12 @@ def test_08_stratified_search_dominates_hill_climbing():
 
 def test_09_budgeted_runs_return_on_time():
     with criterion(9, "budgeted runs return on time with best-of-trace"):
-        # frozen slow instance: 80-state children and N=300000 leave about
-        # 25 600 distinct rows, and fits run over distinct rows, so a latent
+        # frozen slow instance: 128-state children and N=500000 leave about
+        # 65 000 distinct rows, and fits run over distinct rows, so a latent
         # fit takes seconds to tens of seconds; the full walk needs well over
         # 30 s while a 2 s budget must hand back within a fit of expiring
-        model = instrument_model(child_states=80)
-        data = forward_sample(model, 300000, derive_seed(0, "sample"), ("U",))
+        model = instrument_model(child_states=128)
+        data = forward_sample(model, 500000, derive_seed(0, "sample"), ("U",))
         pag = derive_true_pag(model, "U")
 
         started = time.monotonic()
