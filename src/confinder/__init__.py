@@ -38,11 +38,8 @@ from confinder.graphs import (
     GraphKind,
     Mark,
     MixedGraph,
-    SeparationQuery,
     ValidityReport,
     ci_signature,
-    d_separated,
-    m_separated,
     markov_equivalent,
     validate,
 )

@@ -134,11 +134,9 @@ def run_experiment(spec: ExperimentSpec) -> ReportBundle:
         _state, report = run_vbem(
             truth,
             data,
-            prior=cfg.prior(),
             c=cfg.convergence,
             restarts=cfg.restarts,
             seed=derive_seed(seed, "truth"),
-            max_iterations=cfg.max_iterations,
         )
         truth_seconds = time.monotonic() - started
         runs.append(

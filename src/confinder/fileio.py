@@ -19,7 +19,9 @@ import numpy as np
 from confinder.bn import BnModel, parent_configurations, parent_strides
 from confinder.errors import GraphFormatError
 from confinder.graphs import Edge, GraphKind, Mark, MixedGraph, require_valid
-from confinder.latentize import Latent, LatentizedDag, LatentSpec, placement_problems
+from confinder.latentize import (
+    RESERVED_PREFIX, Latent, LatentizedDag, LatentSpec, placement_problems
+)
 from confinder.search import SearchTrace, TraceEntry
 from confinder.vbem import Dataset
 
@@ -174,9 +176,9 @@ def _check_endpoints(scan: _Scan) -> None:
 
 def _reject_underscore_nodes(scan: _Scan) -> None:
     for name, (_card, _labels, lineno) in scan.nodes.items():
-        if name.startswith("_"):
+        if name.startswith(RESERVED_PREFIX):
             raise GraphFormatError(
-                f"node name {name!r} uses the reserved '_' prefix", lineno
+                f"node name {name!r} uses the reserved '{RESERVED_PREFIX}' prefix", lineno
             )
 
 
@@ -360,9 +362,9 @@ def parse_latentized_file(text: str) -> LatentizedFile:
             raise GraphFormatError("latentized-DAG edges must be directed", lineno)
     latent_names = {latent.name for _l, latent in scan.latents}
     for name, (card, _labels, lineno) in scan.nodes.items():
-        if name.startswith("_") and name not in latent_names:
+        if name.startswith(RESERVED_PREFIX) and name not in latent_names:
             raise GraphFormatError(
-                f"node {name!r} uses the reserved '_' prefix but has no "
+                f"node {name!r} uses the reserved '{RESERVED_PREFIX}' prefix but has no "
                 f"latent declaration",
                 lineno,
             )
@@ -437,9 +439,9 @@ def parse_data(
             for name in cells:
                 if not name:
                     raise GraphFormatError("empty column name", lineno)
-                if name.startswith("_"):
+                if name.startswith(RESERVED_PREFIX):
                     raise GraphFormatError(
-                        f"column {name!r} uses the reserved '_' prefix", lineno
+                        f"column {name!r} uses the reserved '{RESERVED_PREFIX}' prefix", lineno
                     )
             if len(set(cells)) != len(cells):
                 raise GraphFormatError("duplicate column names", lineno)

@@ -2,13 +2,13 @@
 
 A single representation covers DAGs (tail-arrow edges only), MAGs (directed
 plus bi-directed edges) and PAGs (circle marks for undetermined endpoints).
-Separation queries, conditional-independence signatures, inducing paths and
-the graphical MAG Markov-equivalence test live here as well.
+The separation walk, conditional-independence signatures, inducing paths
+and the graphical MAG Markov-equivalence test live here as well.
 
 Separation is decided by reachability over (node, arrival mark) states: a
 walk passes a collider only if it is an ancestor of the conditioning set,
-and any other node only if it is outside that set. A single query walks
-once. A CI signature needs every conditioning set, so it walks once per
+and any other node only if it is outside that set. An inducing-path query
+walks once. A CI signature needs every conditioning set, so it walks once per
 source node and carries, in each state, the sets under which that state is
 reachable as one bit per subset of the signature's scope.
 
@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from typing import Dict, FrozenSet, Iterable, Iterator, Optional, Tuple
@@ -175,10 +175,6 @@ class MixedGraph:
     def children(self, x: str) -> Tuple[str, ...]:
         return _index(self).children[x]
 
-    def spouses(self, x: str) -> Tuple[str, ...]:
-        """Nodes joined to x by a bi-directed edge."""
-        return _index(self).spouses[x]
-
     def directed_edges(self) -> Tuple[Tuple[str, str], ...]:
         """(tail, head) pairs of the fully directed edges."""
         return _index(self).directed
@@ -248,14 +244,13 @@ class MixedGraph:
 class _Index:
     """Adjacency structures derived once per graph."""
 
-    __slots__ = ("edge_map", "adjacent", "parents", "children", "spouses", "directed", "bidirected")
+    __slots__ = ("edge_map", "adjacent", "parents", "children", "directed", "bidirected")
 
     def __init__(self, g: MixedGraph):
         self.edge_map = {e.pair: e for e in g.edges}
         adj = {n: [] for n in g.nodes}
         par = {n: [] for n in g.nodes}
         chi = {n: [] for n in g.nodes}
-        spo = {n: [] for n in g.nodes}
         directed = []
         bidirected = []
         for e in g.edges:
@@ -267,13 +262,10 @@ class _Index:
                 chi[t].append(h)
                 directed.append((t, h))
             elif e.is_bidirected:
-                spo[e.a].append(e.b)
-                spo[e.b].append(e.a)
                 bidirected.append(e.pair)
         self.adjacent = {n: tuple(sorted(v)) for n, v in adj.items()}
         self.parents = {n: tuple(sorted(v)) for n, v in par.items()}
         self.children = {n: tuple(sorted(v)) for n, v in chi.items()}
-        self.spouses = {n: tuple(sorted(v)) for n, v in spo.items()}
         self.directed = tuple(sorted(directed))
         self.bidirected = tuple(sorted(bidirected))
 
@@ -389,29 +381,6 @@ def validate(graph: MixedGraph) -> ValidityReport:
 # Separation
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SeparationQuery:
-    """A conditional-independence query: are x and y separated given z?"""
-
-    x: str
-    y: str
-    z: FrozenSet[str] = frozenset()
-
-    def __post_init__(self):
-        object.__setattr__(self, "z", frozenset(self.z))
-        if self.x == self.y:
-            raise ValueError("query endpoints must differ")
-        if self.x in self.z or self.y in self.z:
-            raise ValueError("query endpoints may not appear in the conditioning set")
-
-
-def _check_query_nodes(graph: MixedGraph, q: SeparationQuery):
-    known = set(graph.nodes)
-    for n in {q.x, q.y} | q.z:
-        if n not in known:
-            raise ValueError(f"unknown node {n!r} in separation query")
-
-
 def _connected(graph: MixedGraph, x: str, y: str, z: FrozenSet[str]) -> bool:
     """Walk-based reachability: is there an open path from x to y given z?
 
@@ -447,22 +416,6 @@ def _connected(graph: MixedGraph, x: str, y: str, z: FrozenSet[str]) -> bool:
                 seen.add(state)
                 queue.append(state)
     return False
-
-
-def d_separated(dag: MixedGraph, query: SeparationQuery) -> bool:
-    """d-separation in a DAG."""
-    if dag.kind is not GraphKind.DAG:
-        raise ValueError("d_separated expects a DAG")
-    _check_query_nodes(dag, query)
-    return not _connected(dag, query.x, query.y, query.z)
-
-
-def m_separated(mag: MixedGraph, query: SeparationQuery) -> bool:
-    """m-separation in a MAG; bi-directed endpoints count as arrowheads."""
-    if mag.kind is not GraphKind.MAG:
-        raise ValueError("m_separated expects a MAG")
-    _check_query_nodes(mag, query)
-    return not _connected(mag, query.x, query.y, query.z)
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,9 @@ from confinder.graphs import (
     require_valid,
 )
 
-LATENT_PREFIX = "_L"
+# names with this prefix are reserved for latents, in files and in models
+RESERVED_PREFIX = "_"
+LATENT_PREFIX = RESERVED_PREFIX + "L"
 DEFAULT_LATENT_STATES = 2
 
 # verify walks every conditioning set, 3^n growth, so it refuses larger inputs
@@ -173,10 +175,10 @@ def _block_connected(block: Sequence[Tuple[str, str]]) -> bool:
 
 
 def _reject_reserved_names(nodes: Sequence[str]) -> None:
-    reserved = [n for n in nodes if n.startswith("_")]
+    reserved = [n for n in nodes if n.startswith(RESERVED_PREFIX)]
     if reserved:
         raise ValueError(
-            f"observed names may not start with '_': {reserved} (reserved for latents)"
+            f"observed names may not start with '{RESERVED_PREFIX}': {reserved} (reserved for latents)"
         )
 
 

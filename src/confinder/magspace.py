@@ -6,8 +6,9 @@ circle marks, which cuts only prefixes no completion can repair, serves
 three jobs: the reference MAG is its first completion; the enumeration
 keeps the completions Markov equivalent to that reference, stratified by
 the number of bi-directed edges; and the PAG of a maximal MAG keeps the
-marks its equivalent completions agree on. Single-mark neighbor moves for
-hill-climbing deliberately do NOT check equivalence.
+marks its equivalent completions agree on. The hill-climbing neighbors of
+a MAG are the valid MAGs one circle-mark flip away, in circle-slot order;
+they deliberately do NOT check equivalence.
 
 The enumeration runs to the end of the walk unless given a deadline; a walk
 cut at its deadline returns the class members found so far, plus the
@@ -36,21 +37,6 @@ from confinder.graphs import (
 
 Slot = Tuple[Tuple[str, str], str]  # (edge pair, endpoint node)
 Triple = Tuple[str, str, str]
-
-
-@dataclass(frozen=True)
-class OrientationMove:
-    """Resolution of one circle-marked endpoint to a tail or an arrowhead."""
-
-    edge: Tuple[str, str]
-    endpoint: str
-    new_mark: Mark
-
-    def __post_init__(self):
-        if self.new_mark not in (Mark.TAIL, Mark.ARROW):
-            raise ValueError("a move must resolve to a tail or an arrowhead")
-        if self.endpoint not in self.edge:
-            raise ValueError(f"{self.endpoint!r} is not an endpoint of {self.edge}")
 
 
 @dataclass(frozen=True)
@@ -224,15 +210,15 @@ def _check_pag_consistency(current: MixedGraph, pag: MixedGraph) -> None:
                 )
 
 
-def orientation_neighbors(
-    current: MixedGraph, pag: MixedGraph
-) -> List[Tuple[OrientationMove, MixedGraph]]:
+def orientation_neighbors(current: MixedGraph, pag: MixedGraph) -> List[MixedGraph]:
     """All valid MAGs one circle-endpoint flip away from ``current``.
 
     Only endpoints that are circles in the PAG may move, so invariant marks
-    are never touched. Results are filtered by validity alone; crossing
-    into a different Markov equivalence class is allowed by design, since
-    the hill-climbing strategy skips equivalence checks.
+    are never touched. Each circle slot gives at most one neighbor, and the
+    neighbors come in ``circle_slots`` order. Results are filtered by
+    validity alone; crossing into a different Markov equivalence class is
+    allowed by design, since the hill-climbing strategy skips equivalence
+    checks.
     """
     require_valid(current, GraphKind.MAG, "current")
     require_valid(pag, GraphKind.PAG, "pag")
@@ -244,7 +230,7 @@ def orientation_neighbors(
         new = Mark.ARROW if old is Mark.TAIL else Mark.TAIL
         candidate = current.with_mark(node, other, new)
         if validate(candidate).ok:
-            out.append((OrientationMove(pair, node, new), candidate))
+            out.append(candidate)
     return out
 
 

@@ -36,7 +36,6 @@ from confinder.magspace import enumerate_mags, orientation_neighbors, reference_
 from confinder.seeds import derive_seed
 from confinder.vbem import (
     DEFAULT_CONVERGENCE,
-    DEFAULT_ITERATION_CAP,
     DEFAULT_RESTARTS,
     Dataset,
     FamilyPrior,
@@ -71,7 +70,9 @@ class SearchConfig:
     ``max_bidirected`` caps the explored stratum, ``convergence`` is the
     VBEM threshold, ``max_states`` bounds the greedy cardinality growth and
     ``budget_seconds`` is the anytime wall-clock budget, which also bounds
-    ilcv's walk over the equivalence class.
+    ilcv's walk over the equivalence class. ``restarts`` and ``seed`` set
+    each fit's restarts and the master seed; every fit uses VBEM's default
+    prior and iteration cap.
     """
 
     strategy: Strategy = Strategy.ILCV
@@ -81,8 +82,6 @@ class SearchConfig:
     budget_seconds: float = DEFAULT_BUDGET_SECONDS
     restarts: int = DEFAULT_RESTARTS
     seed: int = 0
-    alpha: float = 1.0
-    max_iterations: int = DEFAULT_ITERATION_CAP
 
     def __post_init__(self):
         if isinstance(self.strategy, str):
@@ -97,13 +96,10 @@ class SearchConfig:
             raise ValueError("convergence threshold must be positive")
         if self.restarts < 1:
             raise ValueError("restarts must be at least 1")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be at least 1")
-        if not (self.alpha > 0):
-            raise ValueError("alpha must be positive")
 
     def prior(self) -> FamilyPrior:
-        return FamilyPrior(self.alpha)
+        # the fits' fixed prior, for callers outside the search (perfbench/child.py)
+        return FamilyPrior()
 
 
 @dataclass(frozen=True, eq=False)
@@ -185,7 +181,6 @@ class _Session:
     def __init__(self, data: Dataset, cfg: SearchConfig):
         self.data = data
         self.cfg = cfg
-        self.prior = cfg.prior()
         self.started = time.monotonic()
         self.deadline = self.started + cfg.budget_seconds
         self.entries: List[TraceEntry] = []
@@ -210,11 +205,9 @@ class _Session:
         state, report = run_vbem(
             model,
             self.data,
-            prior=self.prior,
             c=self.cfg.convergence,
             restarts=self.cfg.restarts,
             seed=derive_seed(self.cfg.seed, "vbem", fingerprint),
-            max_iterations=self.cfg.max_iterations,
             deadline=self.deadline,
         )
         # a fit that ran into the deadline was cut short: the run is over
@@ -314,6 +307,13 @@ def _with_carried(model: LatentizedDag, carried: Dict[Tuple[str, ...], int]) -> 
     return model.with_states(updates) if updates else model
 
 
+def _candidates(current_mag: MixedGraph, pag: MixedGraph, cap: int) -> List[MixedGraph]:
+    """In-cap single-flip neighbors, fewest bi-directed edges first, ties in
+    ``orientation_neighbors``' circle-slot order (the sort is stable)."""
+    in_cap = [g for g in orientation_neighbors(current_mag, pag) if g.bidirected_count <= cap]
+    return sorted(in_cap, key=lambda g: g.bidirected_count)
+
+
 def _hclcv(session: _Session, pag: MixedGraph) -> Tuple[ScoredModel, str]:
     """Hill-climbing walk over orientations, skipping equivalence checks.
 
@@ -335,21 +335,8 @@ def _hclcv(session: _Session, pag: MixedGraph) -> Tuple[ScoredModel, str]:
     while True:
         if session.out_of_time():
             return session.best, "budget"
-        neighbors = [
-            (move, mag)
-            for move, mag in orientation_neighbors(current_mag, pag)
-            if mag.bidirected_count <= cfg.max_bidirected
-        ]
-        neighbors.sort(
-            key=lambda pair: (
-                pair[1].bidirected_count,
-                pair[0].edge,
-                pair[0].endpoint,
-                pair[0].new_mark.value,
-            )
-        )
         best_neighbor: Optional[Tuple[ScoredModel, MixedGraph]] = None
-        for _move, mag in neighbors:
+        for mag in _candidates(current_mag, pag, cfg.max_bidirected):
             if session.out_of_time():
                 return session.best, "budget"
             model = latentize_min(mag, deadline=session.deadline)

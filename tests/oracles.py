@@ -2,7 +2,10 @@
 
 Everything here favours obviousness over speed: separation is decided by
 enumerating every simple path and applying the blocking definition node by
-node, CI signatures by one walk per query, Markov equivalence and marginal
+node, CI signatures by one walk per query (``d_separated`` and
+``m_separated``, per-query wrappers defined here over the separation walk
+``graphs._connected`` that ``has_inducing_path`` uses), hill-climbing
+candidates are ordered by the full move key, Markov equivalence and marginal
 MAGs by comparing or reading full CI signatures, equivalence classes and
 PAGs by trying every orientation, latent groupings by building every
 partition before sorting, and the reference VBEM fit keeps one
@@ -15,6 +18,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from dataclasses import dataclass
 from typing import FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -25,11 +29,9 @@ from confinder.graphs import (
     GraphKind,
     Mark,
     MixedGraph,
-    SeparationQuery,
+    _connected,
     ci_signature,
-    d_separated,
     is_collider,
-    m_separated,
     markov_equivalent,
     unshielded_triples,
     validate,
@@ -109,9 +111,50 @@ def all_queries(nodes: Iterable[str]) -> Iterator[Tuple[str, str, FrozenSet[str]
                 yield x, y, frozenset(z)
 
 
+@dataclass(frozen=True)
+class SeparationQuery:
+    """A conditional-independence query: are x and y separated given z?"""
+
+    x: str
+    y: str
+    z: FrozenSet[str] = frozenset()
+
+    def __post_init__(self):
+        object.__setattr__(self, "z", frozenset(self.z))
+        if self.x == self.y:
+            raise ValueError("query endpoints must differ")
+        if self.x in self.z or self.y in self.z:
+            raise ValueError("query endpoints may not appear in the conditioning set")
+
+
+def _check_query_nodes(graph: MixedGraph, q: SeparationQuery):
+    known = set(graph.nodes)
+    for n in {q.x, q.y} | q.z:
+        if n not in known:
+            raise ValueError(f"unknown node {n!r} in separation query")
+
+
+def d_separated(dag: MixedGraph, query: SeparationQuery) -> bool:
+    """d-separation in a DAG, by one walk of ``graphs._connected``."""
+    if dag.kind is not GraphKind.DAG:
+        raise ValueError("d_separated expects a DAG")
+    _check_query_nodes(dag, query)
+    return not _connected(dag, query.x, query.y, query.z)
+
+
+def m_separated(mag: MixedGraph, query: SeparationQuery) -> bool:
+    """m-separation in a MAG, by one walk of ``graphs._connected``;
+    bi-directed endpoints count as arrowheads."""
+    if mag.kind is not GraphKind.MAG:
+        raise ValueError("m_separated expects a MAG")
+    _check_query_nodes(mag, query)
+    return not _connected(mag, query.x, query.y, query.z)
+
+
 def ci_signature_oracle(graph: MixedGraph, over: Optional[Iterable[str]] = None) -> FrozenSet:
     """``ci_signature`` by one separation query per (x, y, z), each a fresh
-    reachability walk of ``d_separated`` or ``m_separated``."""
+    reachability walk of ``d_separated`` or ``m_separated`` above, the
+    per-query wrappers over ``graphs._connected``."""
     separated = d_separated if graph.kind is GraphKind.DAG else m_separated
     return frozenset(
         (x, y, tuple(sorted(z)))
@@ -338,6 +381,23 @@ def pag_of_mag_oracle(mag: MixedGraph) -> MixedGraph:
         mb = e.mark_b if len(marks_b) == 1 else Mark.CIRCLE
         pag_edges.append(Edge(e.a, e.b, ma, mb))
     return MixedGraph(GraphKind.PAG, mag.nodes, tuple(pag_edges))
+
+
+def hill_climb_order_oracle(current: MixedGraph, pag: MixedGraph, cap: int) -> List[MixedGraph]:
+    """The valid single-flip neighbors of ``current`` with at most ``cap``
+    bi-directed edges, sorted by the full move key: bi-directed count,
+    flipped edge, flipped endpoint, new mark."""
+    keyed = []
+    for e in pag.edges:
+        for node in e.pair:
+            if e.mark_at(node) is not Mark.CIRCLE:
+                continue
+            other = e.other(node)
+            new = Mark.ARROW if current.mark_between(node, other) is Mark.TAIL else Mark.TAIL
+            g = current.with_mark(node, other, new)
+            if validate(g).ok and g.bidirected_count <= cap:
+                keyed.append(((g.bidirected_count, e.pair, node, new.value), g))
+    return [g for _key, g in sorted(keyed, key=lambda item: item[0])]
 
 
 # -- latent groupings, built eagerly -----------------------------------------

@@ -9,19 +9,19 @@ from confinder.graphs import (
     GraphKind,
     Mark,
     MixedGraph,
-    SeparationQuery,
     ci_signature,
-    d_separated,
     has_inducing_path,
-    m_separated,
     markov_equivalent,
     maximal_augmentation,
     validate,
 )
 from oracles import (
+    SeparationQuery,
     all_queries,
     ci_signature_oracle,
+    d_separated,
     is_maximal_oracle,
+    m_separated,
     markov_equivalent_oracle,
     orient_randomly,
     random_dag,

@@ -20,7 +20,7 @@ from confinder.graphs import (
 )
 from confinder.magspace import (
     MagStratum,
-    OrientationMove,
+    circle_slots,
     enumerate_mags,
     is_maximal,
     orientation_neighbors,
@@ -292,13 +292,9 @@ def test_reference_stays_in_the_source_class(seed):
 def test_single_flip_neighborhood_of_directed_edge():
     p = pag("AB", Edge.circle_circle("A", "B"))
     current = mag("AB", Edge.directed("A", "B"))
-    neighbors = orientation_neighbors(current, p)
     # flipping the arrowhead at B would leave a tail-tail edge, so the only
     # valid move flips the tail at A into an arrowhead
-    assert len(neighbors) == 1
-    move, result = neighbors[0]
-    assert move == OrientationMove(("A", "B"), "A", Mark.ARROW)
-    assert result == mag("AB", Edge.bidirected("A", "B"))
+    assert orientation_neighbors(current, p) == [mag("AB", Edge.bidirected("A", "B"))]
 
 
 def test_no_circles_means_no_moves():
@@ -309,9 +305,8 @@ def test_no_circles_means_no_moves():
 def test_moves_are_reversible():
     p = pag("X1 X2 X3".split(), Edge.circle_arrow("X1", "X2"), Edge.circle_arrow("X3", "X2"))
     current = reference_mag(p)
-    for _move, neighbor in orientation_neighbors(current, p):
-        back = [g for _m, g in orientation_neighbors(neighbor, p)]
-        assert current in back
+    for neighbor in orientation_neighbors(current, p):
+        assert current in orientation_neighbors(neighbor, p)
 
 
 def test_neighbors_reject_foreign_graphs():
@@ -330,14 +325,20 @@ def test_neighbors_valid_and_respect_invariant_marks(seed):
     rng = random.Random(seed)
     origin = random_maximal_mag(rng, 5)
     p = pag_of_mag(origin)
-    for move, g in orientation_neighbors(origin, p):
+    slots = circle_slots(p)
+    flipped = []
+    for g in orientation_neighbors(origin, p):
         assert validate(g).ok
-        edge = p.edge_between(*move.edge)
-        assert edge.mark_at(move.endpoint) is Mark.CIRCLE
-        for e in p.edges:
-            for node in e.pair:
-                if e.mark_at(node) is not Mark.CIRCLE:
-                    assert g.mark_between(node, e.other(node)) is e.mark_at(node)
+        changed = [
+            (e.pair, node)
+            for e in p.edges
+            for node in e.pair
+            if g.mark_between(node, e.other(node)) is not origin.mark_between(node, e.other(node))
+        ]
+        # one circle slot moved, so every invariant mark kept its value
+        assert len(changed) == 1 and changed[0] in slots
+        flipped.append(slots.index(changed[0]))
+    assert flipped == sorted(set(flipped))
 
 
 # -- pag_of_mag and maximality ------------------------------------------------
