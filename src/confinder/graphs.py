@@ -23,7 +23,7 @@ from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import Dict, FrozenSet, Iterable, Iterator, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, Optional, Tuple
 
 
 class Mark(Enum):

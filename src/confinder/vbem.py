@@ -27,15 +27,29 @@ of every configuration to its cell; the VB-E step gathers the expected log
 parameters of those cells and sums out the other latents' responsibilities.
 
 A fit keeps the best of several seeded restarts, and all of them advance
-together as one batch. Inside the batch, responsibilities are laid out
-restarts x states x rows (rows last, so a reduction over a latent's few
-states adds whole contiguous rows) and every dynamic family's table
-restarts x parent configurations x states. The M-step makes one
-``bincount`` per family over all restarts' cells, restart r's shifted by r
-table sizes; the bound makes one ``gammaln`` call over every dynamic
-table and row sum. A restart leaves the batch with its state frozen as
-soon as its own stopping rule fires. The public step functions run the
-same code as a batch of one restart.
+together as one batch. Responsibilities are laid out restarts x states x
+rows (rows last, so a reduction over a latent's few states adds whole
+contiguous rows). Every dynamic family's table lives in one flat pass
+buffer, one row per restart: the tables grouped by shape, then every
+table's row sums in the same order. A pass runs on that buffer:
+
+- the M-step forms one joint of the responsibilities per distinct tuple of
+  latent members (a single latent's is just weights x responsibilities),
+  makes one weighted ``bincount`` over all restarts' cells of all tables,
+  adds the prior, and appends the row sums with one reduction per shape;
+- the bound takes one ``gammaln`` of that buffer;
+- the next E-step starts from one ``digamma`` of the same buffer, so the
+  row sums are computed once per pass. It gathers each latent's
+  single-member families with one ``take``; families with several latent
+  members sum out the others with ``np.einsum``.
+
+Every sum keeps the order of a per-family computation: each table's row
+and configuration sums reduce that table alone, tables add to the bound
+in canonical order, and a latent's families add in ``touching`` order. A
+fit thus has the same bits as per-family steps, which the test oracles
+keep as the reference. A restart leaves the batch with its state frozen
+as soon as its own stopping rule fires. The public step functions run the
+same pass as a batch of one restart.
 
 The searched objective adds a label-symmetry penalty:
 p-ELBO = ELBO - sum_i log(|L_i|!), cancelling the |L_i|! equivalent
@@ -218,8 +232,7 @@ class _Family:
     constants of the binding.
     """
 
-    __slots__ = ("node", "members", "shape", "cells", "prior", "static_posterior",
-                 "_batch_cells")
+    __slots__ = ("node", "members", "shape", "cells", "prior", "static_posterior")
 
     def __init__(self, node, parents, cards, columns, weights, latent_names,
                  prior: FamilyPrior):
@@ -243,16 +256,84 @@ class _Family:
         if not self.members:
             counts = np.bincount(self.cells[0], weights=weights, minlength=self.prior.size)
             self.static_posterior = self.prior + counts.reshape(self.prior.shape)
-        self._batch_cells = np.empty(0, dtype=np.int64)
 
-    def batch_cells(self, restarts: int) -> np.ndarray:
-        """The flat cells of a batch of ``restarts`` tables laid end to end:
-        restart r's cells are offset by r table sizes. A smaller batch
-        reads a prefix of the largest one built."""
-        if len(self._batch_cells) < restarts * self.cells.size:
-            shift = self.prior.size * np.arange(restarts)
-            self._batch_cells = (shift[:, None, None] + self.cells).ravel()
-        return self._batch_cells[: restarts * self.cells.size]
+
+def _member_operands(members, q_latent, skip=None) -> list:
+    """``np.einsum`` operands that put each member's responsibilities (but
+    ``skip``'s) on the member's axis of restart x configuration x row
+    cells."""
+    rows = len(members) + 1
+    operands = []
+    for axis, member in enumerate(members, 1):
+        if member != skip:
+            operands += [q_latent[member], [0, axis, rows]]
+    return operands
+
+
+class _Layout:
+    """Tables laid end to end in one flat row, grouped by shape, followed by
+    every table's row sums in the same order.
+
+    A batch stacks one such row per restart, so a single ``gammaln`` or
+    ``digamma`` call covers every table and row sum of every restart, and
+    one reduction per shape group gives what the bound needs. ``spans``
+    places each table in the row; ``groups`` holds, per shape, the slice of
+    its tables, the slice of their row sums and their batch shape;
+    ``row_of_cell`` gives each table cell's row-sum column.
+    """
+
+    def __init__(self, shapes: Mapping[object, Tuple[int, int]]):
+        by_shape: Dict[Tuple[int, int], list] = {}
+        for key, shape in shapes.items():
+            by_shape.setdefault(shape, []).append(key)
+        self.table_size = sum(configs * states for configs, states in shapes.values())
+        self.spans, self.groups, self._place = {}, [], {}
+        table, row_sums = 0, self.table_size
+        for (configs, states), keys in by_shape.items():
+            for position, key in enumerate(keys):
+                self.spans[key] = slice(table, table + configs * states)
+                self._place[key] = (len(self.groups), position)
+                table += configs * states
+            rows = len(keys) * configs
+            self.groups.append((
+                slice(table - rows * states, table),
+                slice(row_sums, row_sums + rows),
+                (-1, len(keys), configs, states),
+            ))
+            row_sums += rows
+        self.size = row_sums
+
+    @functools.cached_property
+    def row_of_cell(self) -> np.ndarray:
+        """Each table cell's row-sum column."""
+        return np.repeat(np.arange(self.table_size, self.size),
+                         [shape[-1] for _tables, sums, shape in self.groups
+                          for _row in range(sums.start, sums.stop)])
+
+    def add_row_sums(self, buffer: np.ndarray) -> np.ndarray:
+        for tables, sums, shape in self.groups:
+            np.add.reduce(buffer[:, tables].reshape(shape), axis=-1,
+                          out=buffer[:, sums].reshape(shape[:-1]))
+        return buffer
+
+    def fill(self, tables: Mapping[object, np.ndarray]) -> np.ndarray:
+        """The buffer of a batch of one holding ``tables``."""
+        buffer = np.empty((1, self.size))
+        for key, span in self.spans.items():
+            buffer[0, span] = tables[key].ravel()
+        return self.add_row_sums(buffer)
+
+    def log_betas(self, buffer: np.ndarray) -> Dict[object, np.ndarray]:
+        """Each table's log-Beta, summed over its configurations, for every
+        restart: one ``gammaln`` call over the buffer."""
+        values = gammaln(buffer)
+        per_group = []
+        for tables, sums, shape in self.groups:
+            terms = np.add.reduce(values[:, tables].reshape(shape), axis=-1)
+            terms -= values[:, sums].reshape(shape[:-1])
+            per_group.append(np.add.reduce(terms, axis=-1))
+        return {key: per_group[group][:, position]
+                for key, (group, position) in self._place.items()}
 
 
 class _Binding:
@@ -261,6 +342,14 @@ class _Binding:
     The fit binds the dataset's distinct rows weighted by their counts; the
     public step functions bind every row with weight 1, because a caller's
     responsibilities may differ between identical rows.
+
+    The binding also plans every pass (see the module docstring):
+    ``layout`` places the dynamic tables in a buffer row; ``joints`` holds
+    (members, span, family count) per member tuple, the span covering the
+    tuple's families in the M-step's weight row; and ``sweeps`` holds each
+    latent's E-step gathers in ``touching`` order: the cells of its
+    single-member families, how many of them lead ``touching``, and the
+    families after those.
     """
 
     def __init__(self, model: LatentizedDag, data: Dataset, prior: FamilyPrior,
@@ -277,6 +366,7 @@ class _Binding:
             raise DataBindingError("; ".join(parts))
         self.n_rows = rows.shape[0]
         self.weights = weights
+        self.alpha = float(prior.alpha)
         self.latent_names = tuple(sorted(model.spec.names))
         self.latent_cards = {l.name: l.states for l in model.spec.latents}
         cards = dict(self.latent_cards)
@@ -301,16 +391,151 @@ class _Binding:
             )
             for l in self.latent_names
         }
+        self.layout = _Layout({f.node: f.prior.shape for f in self.dynamic})
+        self._lay_out_m_and_e_steps()
+
+    def _lay_out_m_and_e_steps(self) -> None:
+        # each latent's single-member families in touching order (a latent
+        # has no parents, so its own family comes first), then the families
+        # of every larger member tuple in canonical order
+        tuples = {
+            (l,): [f for f in self.touching[l] if f.members == (l,)]
+            for l in self.latent_names
+        }
+        for f in self.dynamic:
+            if len(f.members) > 1:
+                tuples.setdefault(f.members, []).append(f)
+        cells, base = {}, []
+        start = 0
+        for families in tuples.values():
+            for f in families:
+                cells[f.node] = slice(start, start + f.cells.size)
+                base.append((self.layout.spans[f.node].start + f.cells).ravel())
+                start += f.cells.size
+        self._base = np.concatenate(base) if base else np.zeros(0, dtype=np.int64)
+        self._index = self._base
+        self.joints = [
+            (members, slice(cells[fs[0].node].start, cells[fs[-1].node].stop), len(fs))
+            for members, fs in tuples.items()
+        ]
+        self.sweeps = {}
+        for l in self.latent_names:
+            singles = tuples[(l,)]
+            lead = next((i for i, f in enumerate(self.touching[l]) if f.members != (l,)),
+                        len(self.touching[l]))
+            rest = tuple(
+                (singles.index(f), None, None) if f.members == (l,)
+                else (None, f, self._base[cells[f.node]].reshape(f.cells.shape))
+                for f in self.touching[l][lead:]
+            )
+            span = slice(cells[singles[0].node].start, cells[singles[-1].node].stop)
+            self.sweeps[l] = (self._base[span].reshape(len(singles), -1, self.n_rows),
+                              lead, rest)
+
+    def cell_index(self, restarts: int) -> np.ndarray:
+        """The buffer cells of a batch of ``restarts`` weight rows laid end
+        to end: restart r's cells are offset by r table regions. A smaller
+        batch reads a prefix of the largest one built."""
+        if len(self._index) < restarts * len(self._base):
+            shift = self.layout.table_size * np.arange(restarts)
+            self._index = (shift[:, None] + self._base).ravel()
+        return self._index[: restarts * len(self._base)]
 
     @functools.cached_property
     def constant(self) -> float:
         """The bound's terms that no responsibility moves: every prior's
         log-Beta and the posterior log-Beta of latent-free families."""
-        return sum(
-            float(np.sum(_log_beta(f.static_posterior)))
-            for f in self.families.values()
-            if f.static_posterior is not None
-        ) - sum(float(np.sum(_log_beta(f.prior))) for f in self.families.values())
+        static = [f.static_posterior for f in self.families.values()
+                  if f.static_posterior is not None]
+        tables = dict(enumerate(static + [f.prior for f in self.families.values()]))
+        layout = _Layout({key: table.shape for key, table in tables.items()})
+        log_betas = layout.log_betas(layout.fill(tables))
+        terms = [float(log_betas[key][0]) for key in tables]
+        return sum(terms[:len(static)]) - sum(terms[len(static):])
+
+    # -- one pass over a batch: restarts x buffer cells ------------------------
+
+    def tables(self, row: np.ndarray) -> Dict[str, np.ndarray]:
+        """The dynamic tables of one restart's buffer row."""
+        return {node: row[span].reshape(self.families[node].prior.shape)
+                for node, span in self.layout.spans.items()}
+
+    def m_step(self, q_latent) -> np.ndarray:
+        """Prior plus expected counts for every dynamic table, as a pass
+        buffer: one joint per member tuple, one weighted ``bincount`` over
+        all restarts' cells, and the row sums."""
+        restarts = len(q_latent[self.latent_names[0]])
+        weights = np.empty((restarts, len(self._base)))
+        for members, span, count in self.joints:
+            slot = weights[:, span].reshape(restarts, count, -1, self.n_rows)
+            if len(members) == 1:
+                np.multiply(q_latent[members[0]][:, None], self.weights, out=slot)
+            else:
+                rows = len(members) + 1
+                joint = np.einsum(
+                    self.weights, [rows], *_member_operands(members, q_latent),
+                    list(range(rows + 1)),
+                )
+                slot[...] = joint.reshape(restarts, 1, -1, self.n_rows)
+        size = self.layout.table_size
+        counts = np.bincount(self.cell_index(restarts), weights=weights.ravel(),
+                             minlength=restarts * size)
+        buffer = np.empty((restarts, self.layout.size))
+        np.add(counts.reshape(restarts, size), self.alpha, out=buffer[:, :size])
+        return self.layout.add_row_sums(buffer)
+
+    def bound(self, buffer: np.ndarray, q_latent) -> np.ndarray:
+        """Every restart's bound at the VB-M fixed point; dynamic tables
+        add in canonical order."""
+        log_betas = self.layout.log_betas(buffer)
+        total = self.constant
+        for f in self.dynamic:
+            total = total + log_betas[f.node]
+        for latent in self.latent_names:
+            # rows outer, states inner: the summation order of a rows x states
+            # table, so the bound's bits do not depend on the batch layout
+            q = q_latent[latent].transpose(0, 2, 1)
+            total = total - np.einsum("m,rmk->r", self.weights, xlogy(q, q, order="C"))
+        return total
+
+    def e_step(self, buffer: np.ndarray, q_latent) -> Dict[str, np.ndarray]:
+        """One sequential mean-field sweep over latents in canonical order,
+        from one ``digamma`` of the pass buffer."""
+        values = digamma(buffer)
+        elog = values[:, :self.layout.table_size] - values.take(self.layout.row_of_cell, axis=1)
+        updated = dict(q_latent)
+        for latent in self.latent_names:
+            q = self._log_q(elog, latent, updated)
+            if not np.isfinite(q).all():
+                raise InconsistentStateError(
+                    f"non-finite responsibilities for {latent!r}; q_theta is degenerate"
+                )
+            q -= np.maximum.reduce(q, axis=1, keepdims=True)
+            np.exp(q, out=q)
+            q /= np.add.reduce(q, axis=1, keepdims=True)
+            updated[latent] = q
+        return updated
+
+    def _log_q(self, elog: np.ndarray, latent: str, q_latent) -> np.ndarray:
+        """``latent``'s unnormalised log responsibilities: its families'
+        expected log parameters added in ``touching`` order, the other
+        members of a family summed out."""
+        singles, lead, rest = self.sweeps[latent]
+        gathered = elog.take(singles, axis=1)
+        log_q = np.add.reduce(gathered[:, :lead], axis=1)
+        for single, family, cells in rest:
+            if family is None:
+                log_q = log_q + gathered[:, single]
+                continue
+            axes = list(range(len(family.members) + 2))
+            log_q = log_q + np.einsum(
+                elog.take(cells, axis=1).reshape(len(elog), *family.shape, self.n_rows),
+                axes, *_member_operands(family.members, q_latent, skip=latent),
+                [0, 1 + family.members.index(latent), axes[-1]],
+            )
+        return log_q
+
+    # -- caller-facing checks and tables -----------------------------------------
 
     def uniform_responsibilities(self) -> Dict[str, np.ndarray]:
         return {
@@ -348,120 +573,23 @@ class _Binding:
             for node, f in self.families.items()
         }
 
+    def fixed_point(self, q_batch) -> Dict[str, np.ndarray]:
+        """Every family's VB-M table for responsibilities given as a batch
+        of one."""
+        if not self.latent_names:
+            return self.full_q_theta({})
+        return self.full_q_theta(self.tables(self.m_step(q_batch)[0]))
+
 
 def _bind_every_row(model: LatentizedDag, data: Dataset,
                     prior: Optional[FamilyPrior] = None) -> _Binding:
     return _Binding(model, data, prior or FamilyPrior(), data.rows, np.ones(data.n_rows))
 
 
-# -- the batched steps: restarts x states x rows ------------------------------
-
-def _of_tables_and_sums(fn, tables: list) -> list:
-    """``fn`` of every table and of every table's row sums, in one call:
-    one (cells, row sums) pair of arrays per table."""
-    if not tables:
-        return []
-    sums = [table.sum(axis=-1) for table in tables]
-    values = fn(np.concatenate([part.ravel() for part in tables + sums]))
-    pieces = []
-    start = 0
-    for part in tables + sums:
-        pieces.append(values[start:start + part.size].reshape(part.shape))
-        start += part.size
-    return list(zip(pieces, pieces[len(tables):]))
-
-
-def _member_operands(family: _Family, q_latent, skip=None) -> list:
-    """``np.einsum`` operands that put each member's responsibilities (but
-    ``skip``'s) on the member's axis of the restart x configuration x row
-    cells."""
-    rows = len(family.members) + 1
-    operands = []
-    for axis, member in enumerate(family.members, 1):
-        if member != skip:
-            operands += [q_latent[member], [0, axis, rows]]
-    return operands
-
-
-def _e_step(binding: _Binding, q_theta, q_latent) -> Dict[str, np.ndarray]:
-    """One sequential mean-field sweep over latents in canonical order."""
-    digammas = _of_tables_and_sums(digamma, [q_theta[f.node] for f in binding.dynamic])
-    # degenerate tables produce non-finite values here; the sweep detects
-    # and reports them, so the intermediate warning is noise
-    with np.errstate(invalid="ignore"):
-        elog = {
-            f.node: (cells - sums[..., None]).reshape(len(cells), -1)
-            for f, (cells, sums) in zip(binding.dynamic, digammas)
-        }
-    updated = dict(q_latent)
-    for latent in binding.latent_names:
-        log_q = 0.0
-        for family in binding.touching[latent]:
-            gathered = np.take(elog[family.node], family.cells, axis=1)
-            if len(family.members) > 1:
-                axes = list(range(len(family.members) + 2))
-                gathered = np.einsum(
-                    gathered.reshape(len(gathered), *family.shape, binding.n_rows), axes,
-                    *_member_operands(family, updated, skip=latent),
-                    [0, 1 + family.members.index(latent), axes[-1]],
-                )
-            log_q = log_q + gathered
-        if not np.all(np.isfinite(log_q)):
-            raise InconsistentStateError(
-                f"non-finite responsibilities for {latent!r}; q_theta is degenerate"
-            )
-        q = np.exp(log_q - log_q.max(axis=1, keepdims=True))
-        q /= q.sum(axis=1, keepdims=True)
-        updated[latent] = q
-    return updated
-
-
-def _m_step(binding: _Binding, q_latent) -> Dict[str, np.ndarray]:
-    """Prior plus expected counts for every dynamic family: one weighted
-    ``bincount`` per family over all restarts' cells."""
-    q_theta = {}
-    for family in binding.dynamic:
-        restarts = len(q_latent[family.members[0]])
-        rows = len(family.members) + 1
-        joint = np.einsum(
-            binding.weights, [rows], *_member_operands(family, q_latent),
-            list(range(rows + 1)),
-        )
-        counts = np.bincount(
-            family.batch_cells(restarts), weights=joint.ravel(),
-            minlength=restarts * family.prior.size,
-        )
-        q_theta[family.node] = family.prior + counts.reshape(restarts, *family.prior.shape)
-    return q_theta
-
-
-def _log_beta(table: np.ndarray) -> np.ndarray:
-    return gammaln(table).sum(axis=-1) - gammaln(table.sum(axis=-1))
-
-
-def _elbo(binding: _Binding, q_theta, q_latent) -> np.ndarray:
-    """Every restart's bound at the VB-M fixed point; latent-free families
-    are constant. One ``gammaln`` covers all dynamic tables and their row
-    sums."""
-    total = binding.constant
-    tables = [q_theta[f.node] for f in binding.dynamic]
-    for cells, sums in _of_tables_and_sums(gammaln, tables):
-        total = total + (cells.sum(axis=-1) - sums).sum(axis=-1)
-    for latent in binding.latent_names:
-        # rows outer, states inner: the summation order of a rows x states
-        # table, so the bound's bits do not depend on the batch layout
-        q = q_latent[latent].transpose(0, 2, 1)
-        total = total - np.einsum("m,rmk->r", binding.weights, xlogy(q, q, order="C"))
-    return total
-
-
 def _check_fixed_point(binding, q_theta, q_batch) -> None:
     """``q_theta`` is a caller's tables, ``q_batch`` its responsibilities
     as a batch of one."""
-    recomputed = binding.full_q_theta(
-        {node: table[0] for node, table in _m_step(binding, q_batch).items()}
-    )
-    for node, table in recomputed.items():
+    for node, table in binding.fixed_point(q_batch).items():
         if not np.allclose(q_theta[node], table, rtol=1e-9, atol=1e-8):
             raise InconsistentStateError(
                 f"q_theta[{node!r}] is not the VB-M update of q_latent; "
@@ -504,8 +632,10 @@ def vb_e_step(
         q_latent = binding.uniform_responsibilities()
     else:
         binding.check_q_latent(q_latent)
-    tables = {node: table[None] for node, table in q_theta.items()}
-    updated = _e_step(binding, tables, _rows_last(binding, q_latent))
+    # a caller's degenerate tables make digamma differences non-finite; the
+    # sweep detects and reports them, so the intermediate warning is noise
+    with np.errstate(invalid="ignore"):
+        updated = binding.e_step(binding.layout.fill(q_theta), _rows_last(binding, q_latent))
     return {name: q[0].T for name, q in updated.items()}
 
 
@@ -518,10 +648,7 @@ def vb_m_step(
     """Posterior Dirichlet parameters: prior plus expected counts."""
     binding = _bind_every_row(model, data, prior)
     binding.check_q_latent(q_latent)
-    batch = _rows_last(binding, q_latent)
-    return binding.full_q_theta(
-        {node: table[0] for node, table in _m_step(binding, batch).items()}
-    )
+    return binding.fixed_point(_rows_last(binding, q_latent))
 
 
 def elbo(
@@ -544,8 +671,7 @@ def elbo(
     _check_fixed_point(binding, state.q_theta, batch)
     if not binding.latent_names:
         return binding.constant
-    tables = {node: table[None] for node, table in state.q_theta.items()}
-    return float(_elbo(binding, tables, batch)[0])
+    return float(binding.bound(binding.layout.fill(state.q_theta), batch)[0])
 
 
 def p_elbo(elbo_value: float, spec: LatentSpec) -> float:
@@ -618,19 +744,17 @@ def run_vbem(
         ])
         for name in binding.latent_names
     }
-    q_theta = _m_step(binding, q_latent)
-    bounds = _elbo(binding, q_theta, q_latent)
+    buffer = binding.m_step(q_latent)
+    bounds = binding.bound(buffer, q_latent)
     traces = [[value] for value in bounds.tolist()]
     running = list(range(restarts))  # the restart at each batch position
-    # restart -> (dynamic tables, responsibilities, converged)
-    frozen: Dict[int, Tuple[dict, dict, bool]] = {}
+    # restart -> (pass buffer row, responsibilities, converged)
+    frozen: Dict[int, Tuple[np.ndarray, dict, bool]] = {}
 
     def freeze(positions, converged):
         for i in positions:
             frozen[running[i]] = (
-                {node: table[i] for node, table in q_theta.items()},
-                {name: q[i] for name, q in q_latent.items()},
-                converged,
+                buffer[i], {name: q[i] for name, q in q_latent.items()}, converged,
             )
 
     cut = False
@@ -638,9 +762,9 @@ def run_vbem(
         if deadline is not None and time.monotonic() >= deadline:
             cut = True
             break
-        q_latent = _e_step(binding, q_theta, q_latent)
-        q_theta = _m_step(binding, q_latent)
-        previous, bounds = bounds, _elbo(binding, q_theta, q_latent)
+        q_latent = binding.e_step(buffer, q_latent)
+        buffer = binding.m_step(q_latent)
+        previous, bounds = bounds, binding.bound(buffer, q_latent)
         for restart, value in zip(running, bounds.tolist()):
             traces[restart].append(value)
         # the first pass starts from the averaged draw, whose bound sits
@@ -654,16 +778,16 @@ def run_vbem(
             running = [running[i] for i in keep]
             if not running:
                 break
-            q_theta = {node: table[keep] for node, table in q_theta.items()}
+            buffer = buffer[keep]
             q_latent = {name: q[keep] for name, q in q_latent.items()}
             bounds = bounds[keep]
     freeze(range(len(running)), False)
 
     finals = [trace[-1] for trace in traces]
     winner = finals.index(max(finals))
-    tables, responsibilities, converged = frozen[winner]
+    row, responsibilities, converged = frozen[winner]
     state = VariationalState(
-        binding.full_q_theta(tables),
+        binding.full_q_theta(binding.tables(row)),
         {name: q.T[inverse] for name, q in responsibilities.items()},
         tuple(traces[winner]),
     )

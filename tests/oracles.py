@@ -9,9 +9,10 @@ candidates are ordered by the full move key, Markov equivalence and marginal
 MAGs by comparing or reading full CI signatures, equivalence classes and
 PAGs by trying every orientation, latent groupings by building every
 partition before sorting, and the reference VBEM fit keeps one
-responsibility vector per row, and the sequential fit runs each restart
-alone. Only usable on small inputs, which is exactly what the tests feed
-it.
+responsibility vector per row, the sequential fit runs each restart
+alone, and the per-family fit keeps one array and one ``bincount`` per
+family (the bits the flat pass must reproduce). Only usable on small
+inputs, which is exactly what the tests feed it.
 """
 from __future__ import annotations
 
@@ -19,11 +20,12 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
-from typing import FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.special import digamma, gammaln
+from scipy.special import digamma, gammaln, xlogy
 
+from confinder.errors import InconsistentStateError
 from confinder.graphs import (
     Edge,
     GraphKind,
@@ -51,6 +53,7 @@ from confinder.vbem import (
     DEFAULT_RESTARTS,
     Dataset,
     FamilyPrior,
+    ScoreReport,
     VariationalState,
     elbo,
     vb_e_step,
@@ -554,6 +557,26 @@ def reference_vbem(
     return fits
 
 
+def _initial_draw(binding, data: Dataset, seed: int, restart: int) -> dict:
+    """``run_vbem``'s initial responsibilities for one restart, as a batch
+    of one: a flat Dirichlet draw per row, averaged over identical rows."""
+    _rows, inverse, counts = data._distinct_rows
+    rng = np.random.default_rng(derive_seed(seed, "restart", restart))
+    return {
+        name: vbem._group_means(
+            rng.dirichlet(np.ones(binding.latent_cards[name]), size=data.n_rows),
+            inverse,
+            counts,
+        ).T[None]
+        for name in binding.latent_names
+    }
+
+
+def _distinct_binding(model: LatentizedDag, data: Dataset):
+    rows, _inverse, counts = data._distinct_rows
+    return vbem._Binding(model, data, FamilyPrior(), rows, counts)
+
+
 def sequential_vbem(
     model: LatentizedDag,
     data: Dataset,
@@ -564,42 +587,224 @@ def sequential_vbem(
 ) -> List[Tuple[VariationalState, bool]]:
     """Every restart of ``run_vbem`` run alone, one after another.
 
-    Each restart is a batch of one through the fit's own E, M and bound
-    code, from the same initial draw, in the loop that ran restarts in
-    turn: it stops after a pass, not the first, that improves the bound by
-    less than ``c``, or after ``max_iterations`` passes. Returns each
-    restart's state over the distinct rows and whether it converged.
+    Each restart is a batch of one through the fit's own pass (the
+    binding's ``m_step``, ``bound`` and ``e_step``), from the same initial
+    draw, in the loop that ran restarts in turn: it stops after a pass, not
+    the first, that improves the bound by less than ``c``, or after
+    ``max_iterations`` passes. Returns each restart's state over the
+    distinct rows and whether it converged.
     """
-    rows, inverse, counts = data._distinct_rows
-    binding = vbem._Binding(model, data, FamilyPrior(), rows, counts)
+    binding = _distinct_binding(model, data)
     fits = []
     for restart in range(restarts):
-        rng = np.random.default_rng(derive_seed(seed, "restart", restart))
-        q_latent = {
-            name: vbem._group_means(
-                rng.dirichlet(np.ones(binding.latent_cards[name]), size=data.n_rows),
-                inverse,
-                counts,
-            ).T[None]
-            for name in binding.latent_names
-        }
-        q_theta = vbem._m_step(binding, q_latent)
-        trace = [float(vbem._elbo(binding, q_theta, q_latent)[0])]
+        q_latent = _initial_draw(binding, data, seed, restart)
+        buffer = binding.m_step(q_latent)
+        trace = [float(binding.bound(buffer, q_latent)[0])]
         converged = False
         for iteration in range(max_iterations):
-            q_latent = vbem._e_step(binding, q_theta, q_latent)
-            q_theta = vbem._m_step(binding, q_latent)
-            trace.append(float(vbem._elbo(binding, q_theta, q_latent)[0]))
+            q_latent = binding.e_step(buffer, q_latent)
+            buffer = binding.m_step(q_latent)
+            trace.append(float(binding.bound(buffer, q_latent)[0]))
             if iteration and abs(trace[-1] - trace[-2]) < c:
                 converged = True
                 break
         state = VariationalState(
-            binding.full_q_theta({node: table[0] for node, table in q_theta.items()}),
+            binding.full_q_theta(binding.tables(buffer[0])),
             {name: q[0].T for name, q in q_latent.items()},
             tuple(trace),
         )
         fits.append((state, converged))
     return fits
+
+
+# -- the per-family batched steps: the fit's bits before the flat pass --------
+#
+# Each dynamic family is its own restarts x configurations x states array:
+# one ``bincount`` per family in the M-step, and the row sums taken once for
+# the E-step's ``digamma`` and again for the bound's ``gammaln``. The flat
+# pass in ``vbem`` must reproduce these bits exactly.
+
+def _batch_cells(family, restarts: int) -> np.ndarray:
+    """The flat cells of a batch of ``restarts`` tables laid end to end:
+    restart r's cells are offset by r table sizes."""
+    shift = family.prior.size * np.arange(restarts)
+    return (shift[:, None, None] + family.cells).ravel()
+
+
+def _of_tables_and_sums(fn, tables: list) -> list:
+    """``fn`` of every table and of every table's row sums, in one call:
+    one (cells, row sums) pair of arrays per table."""
+    if not tables:
+        return []
+    sums = [table.sum(axis=-1) for table in tables]
+    values = fn(np.concatenate([part.ravel() for part in tables + sums]))
+    pieces = []
+    start = 0
+    for part in tables + sums:
+        pieces.append(values[start:start + part.size].reshape(part.shape))
+        start += part.size
+    return list(zip(pieces, pieces[len(tables):]))
+
+
+def _member_operands(family, q_latent, skip=None) -> list:
+    """``np.einsum`` operands that put each member's responsibilities (but
+    ``skip``'s) on the member's axis of the restart x configuration x row
+    cells."""
+    rows = len(family.members) + 1
+    operands = []
+    for axis, member in enumerate(family.members, 1):
+        if member != skip:
+            operands += [q_latent[member], [0, axis, rows]]
+    return operands
+
+
+def _e_step(binding, q_theta, q_latent) -> Dict[str, np.ndarray]:
+    """One sequential mean-field sweep over latents in canonical order."""
+    digammas = _of_tables_and_sums(digamma, [q_theta[f.node] for f in binding.dynamic])
+    # degenerate tables produce non-finite values here; the sweep detects
+    # and reports them, so the intermediate warning is noise
+    with np.errstate(invalid="ignore"):
+        elog = {
+            f.node: (cells - sums[..., None]).reshape(len(cells), -1)
+            for f, (cells, sums) in zip(binding.dynamic, digammas)
+        }
+    updated = dict(q_latent)
+    for latent in binding.latent_names:
+        log_q = 0.0
+        for family in binding.touching[latent]:
+            gathered = np.take(elog[family.node], family.cells, axis=1)
+            if len(family.members) > 1:
+                axes = list(range(len(family.members) + 2))
+                gathered = np.einsum(
+                    gathered.reshape(len(gathered), *family.shape, binding.n_rows), axes,
+                    *_member_operands(family, updated, skip=latent),
+                    [0, 1 + family.members.index(latent), axes[-1]],
+                )
+            log_q = log_q + gathered
+        if not np.all(np.isfinite(log_q)):
+            raise InconsistentStateError(
+                f"non-finite responsibilities for {latent!r}; q_theta is degenerate"
+            )
+        q = np.exp(log_q - log_q.max(axis=1, keepdims=True))
+        q /= q.sum(axis=1, keepdims=True)
+        updated[latent] = q
+    return updated
+
+
+def _m_step(binding, q_latent) -> Dict[str, np.ndarray]:
+    """Prior plus expected counts for every dynamic family: one weighted
+    ``bincount`` per family over all restarts' cells."""
+    q_theta = {}
+    for family in binding.dynamic:
+        restarts = len(q_latent[family.members[0]])
+        rows = len(family.members) + 1
+        joint = np.einsum(
+            binding.weights, [rows], *_member_operands(family, q_latent),
+            list(range(rows + 1)),
+        )
+        counts = np.bincount(
+            _batch_cells(family, restarts), weights=joint.ravel(),
+            minlength=restarts * family.prior.size,
+        )
+        q_theta[family.node] = family.prior + counts.reshape(restarts, *family.prior.shape)
+    return q_theta
+
+
+def _elbo(binding, q_theta, q_latent) -> np.ndarray:
+    """Every restart's bound at the VB-M fixed point; latent-free families
+    are constant. One ``gammaln`` covers all dynamic tables and their row
+    sums."""
+    total = binding.constant
+    tables = [q_theta[f.node] for f in binding.dynamic]
+    for cells, sums in _of_tables_and_sums(gammaln, tables):
+        total = total + (cells.sum(axis=-1) - sums).sum(axis=-1)
+    for latent in binding.latent_names:
+        # rows outer, states inner: the summation order of a rows x states
+        # table, so the bound's bits do not depend on the batch layout
+        q = q_latent[latent].transpose(0, 2, 1)
+        total = total - np.einsum("m,rmk->r", binding.weights, xlogy(q, q, order="C"))
+    return total
+
+
+def per_family_constant(binding) -> float:
+    """The binding's constant bound terms, one ``gammaln`` call per table."""
+    def log_beta(table):
+        return float(np.sum(gammaln(table).sum(axis=-1) - gammaln(table.sum(axis=-1))))
+
+    families = binding.families.values()
+    return sum(
+        log_beta(f.static_posterior) for f in families if f.static_posterior is not None
+    ) - sum(log_beta(f.prior) for f in families)
+
+
+def per_family_vbem(
+    model: LatentizedDag,
+    data: Dataset,
+    c: float = DEFAULT_CONVERGENCE,
+    restarts: int = DEFAULT_RESTARTS,
+    seed: int = 0,
+    max_iterations: int = DEFAULT_ITERATION_CAP,
+) -> Tuple[VariationalState, ScoreReport]:
+    """``run_vbem`` (without a deadline) on the per-family steps: every
+    restart advances in one batch and leaves it, state frozen, once its own
+    stopping rule fires; the first restart with the best final bound wins."""
+    binding = _distinct_binding(model, data)
+    _rows, inverse, _counts = data._distinct_rows
+    if not binding.latent_names:
+        value = per_family_constant(binding)
+        report = ScoreReport(value, vbem.p_elbo(value, model.spec), 1, True, 1)
+        return VariationalState(binding.full_q_theta({}), {}, (value,)), report
+    draws = [_initial_draw(binding, data, seed, r) for r in range(restarts)]
+    q_latent = {
+        name: np.concatenate([draw[name] for draw in draws])
+        for name in binding.latent_names
+    }
+    q_theta = _m_step(binding, q_latent)
+    bounds = _elbo(binding, q_theta, q_latent)
+    traces = [[value] for value in bounds.tolist()]
+    running = list(range(restarts))
+    frozen = {}
+
+    def freeze(positions, converged):
+        for i in positions:
+            frozen[running[i]] = (
+                {node: table[i] for node, table in q_theta.items()},
+                {name: q[i] for name, q in q_latent.items()},
+                converged,
+            )
+
+    for iteration in range(max_iterations):
+        q_latent = _e_step(binding, q_theta, q_latent)
+        q_theta = _m_step(binding, q_latent)
+        previous, bounds = bounds, _elbo(binding, q_theta, q_latent)
+        for restart, value in zip(running, bounds.tolist()):
+            traces[restart].append(value)
+        if not iteration:
+            continue
+        done = np.abs(bounds - previous) < c
+        if done.any():
+            freeze(np.flatnonzero(done), True)
+            keep = np.flatnonzero(~done)
+            running = [running[i] for i in keep]
+            if not running:
+                break
+            q_theta = {node: table[keep] for node, table in q_theta.items()}
+            q_latent = {name: q[keep] for name, q in q_latent.items()}
+            bounds = bounds[keep]
+    freeze(range(len(running)), False)
+
+    finals = [trace[-1] for trace in traces]
+    winner = finals.index(max(finals))
+    tables, responsibilities, converged = frozen[winner]
+    state = VariationalState(
+        binding.full_q_theta(tables),
+        {name: q.T[inverse] for name, q in responsibilities.items()},
+        tuple(traces[winner]),
+    )
+    value = state.elbo_trace[-1]
+    report = ScoreReport(value, vbem.p_elbo(value, model.spec), len(state.elbo_trace),
+                         converged, restarts)
+    return state, report
 
 
 # -- literal VB steps: one row and one joint latent configuration at a time ----
@@ -731,3 +936,19 @@ def three_latent_parent_instance():
     rng = random.Random(3)
     rows = [[rng.randrange(cards[n]) for n in names] for _ in range(40)]
     return model, Dataset([(n, cards[n]) for n in names], rows)
+
+
+def many_state_instance(rng: random.Random):
+    """A latent over A and B, where A has 9-10 states and an observed
+    parent C of 4-5 states: A's table has 9 or more states under 8 or more
+    parent configurations, so numpy sums its rows, and the bound its
+    configurations, pairwise. 40 to 120 rows are drawn uniformly."""
+    latent = Latent("_L1", ("A", "B"), rng.randint(2, 3))
+    edges = (Edge.directed("C", "A"),) + tuple(
+        Edge.directed(latent.name, child) for child in latent.children
+    )
+    dag = MixedGraph(GraphKind.DAG, ("A", "B", "C", latent.name), edges)
+    model = LatentizedDag(dag, LatentSpec((latent,)))
+    cards = {"A": rng.randint(9, 10), "B": rng.randint(2, 3), "C": rng.randint(4, 5)}
+    rows = [[rng.randrange(cards[n]) for n in "ABC"] for _ in range(rng.randint(40, 120))]
+    return model, Dataset([(n, cards[n]) for n in "ABC"], rows)

@@ -1,6 +1,7 @@
 import math
 import random
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from scipy.special import digamma
 
 from confinder.errors import DataBindingError, InconsistentStateError
 from confinder.graphs import Edge, GraphKind, MixedGraph
+from confinder import vbem
 from confinder.latentize import Latent, LatentSpec, latentize_min
 from confinder.vbem import (
     Dataset,
@@ -27,6 +29,9 @@ from oracles import (
     exact_conjugate_score,
     exact_latent_marginal,
     m_step_oracle,
+    many_state_instance,
+    per_family_constant,
+    per_family_vbem,
     random_latentized_instance,
     reference_vbem,
     sequential_vbem,
@@ -404,6 +409,73 @@ def test_batched_restarts_match_restarts_run_alone(seed):
     _rows, inverse, _counts = data._distinct_rows
     for name, q in winner.q_latent.items():
         assert np.allclose(state.q_latent[name], q[inverse], rtol=0.0, atol=1e-10)
+
+
+def assert_bit_identical_to_per_family_fit(model, data, **knobs):
+    state, report = run_vbem(model, data, **knobs)
+    expected_state, expected = per_family_vbem(model, data, **knobs)
+    assert report == expected
+    assert state.elbo_trace == expected_state.elbo_trace
+    assert state.q_theta.keys() == expected_state.q_theta.keys()
+    for node, table in expected_state.q_theta.items():
+        assert np.array_equal(state.q_theta[node], table)
+    assert state.q_latent.keys() == expected_state.q_latent.keys()
+    for name, q in expected_state.q_latent.items():
+        assert np.array_equal(state.q_latent[name], q)
+
+
+@pytest.mark.parametrize("instance", [
+    lambda rng: random_latentized_instance(rng, max_latents=3),
+    lambda rng: three_latent_parent_instance(),
+    many_state_instance,
+], ids=["random", "three-latent-parents", "many-states"])
+@given(st.integers(0, 10**6))
+@settings(max_examples=25, deadline=None)
+def test_fit_is_bit_identical_to_the_per_family_steps(instance, seed):
+    model, data = instance(random.Random(seed))
+    rows, _inverse, counts = data._distinct_rows
+    binding = vbem._Binding(model, data, vbem.FamilyPrior(), rows, counts)
+    assert binding.constant == per_family_constant(binding)
+    assert_bit_identical_to_per_family_fit(model, data, c=1e-4, restarts=3, seed=seed)
+
+
+def test_fit_is_bit_identical_while_restarts_leave_the_batch():
+    # three latents; run alone, the restarts stop after 60, 51 and 108
+    # bound evaluations, so the batch shrinks twice before the last pass
+    model, data = random_latentized_instance(random.Random(12), max_latents=3)
+    assert len(model.spec) == 3
+    fits = sequential_vbem(model, data, c=1e-4, restarts=3, seed=12)
+    assert [len(fit.elbo_trace) for fit, _converged in fits] == [60, 51, 108]
+    assert_bit_identical_to_per_family_fit(model, data, c=1e-4, restarts=3, seed=12)
+
+
+def chain_instance():
+    model = chain_model()
+    return model, dataset_for(model, random.Random(5), 30)
+
+
+@pytest.mark.parametrize("instance", [chain_instance, three_latent_parent_instance])
+def test_a_pass_calls_digamma_and_gammaln_once_each(instance, monkeypatch):
+    # the batch runs until its last restart stops
+    model, data = instance()
+    fits = sequential_vbem(model, data, restarts=3, seed=1)
+    passes = max(len(fit.elbo_trace) for fit, _converged in fits) - 1
+    calls = Counter()
+
+    def counted(name):
+        function = getattr(vbem, name)
+
+        def wrapper(values):
+            calls[name] += 1
+            return function(values)
+        return wrapper
+
+    for name in ("digamma", "gammaln"):
+        monkeypatch.setattr(vbem, name, counted(name))
+    run_vbem(model, data, restarts=3, seed=1)
+    # gammaln also runs once for the initial bound and once for the
+    # binding's constant terms
+    assert calls == {"digamma": passes, "gammaln": passes + 2}
 
 
 def single_latent_models():
