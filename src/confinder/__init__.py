@@ -41,6 +41,7 @@ from confinder.graphs import (
     ValidityReport,
     ci_signature,
     markov_equivalent,
+    project_to_mag,
     validate,
 )
 from confinder.latentize import (
@@ -49,7 +50,6 @@ from confinder.latentize import (
     LatentizedDag,
     apply_spec,
     latentize_min,
-    project_to_mag,
     verify_ci_equivalence,
 )
 from confinder.magspace import (

@@ -14,10 +14,9 @@ from dataclasses import dataclass, replace
 from typing import Dict, Optional, Tuple
 
 from confinder.bn import BnModel, forward_sample
-from confinder.graphs import Edge, GraphKind, MixedGraph
+from confinder.graphs import Edge, GraphKind, MixedGraph, project_to_mag
 from confinder.latentize import Latent, LatentizedDag, LatentSpec
 from confinder.magspace import pag_of_mag
-from confinder.latentize import project_to_mag
 from confinder.search import ScoredModel, SearchConfig, SearchTrace, run_search
 from confinder.seeds import derive_seed
 from confinder.vbem import run_vbem

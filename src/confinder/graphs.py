@@ -2,8 +2,8 @@
 
 A single representation covers DAGs (tail-arrow edges only), MAGs (directed
 plus bi-directed edges) and PAGs (circle marks for undetermined endpoints).
-The separation walk, conditional-independence signatures, inducing paths
-and the graphical MAG Markov-equivalence test live here as well.
+The separation walk, conditional-independence signatures, inducing paths,
+projection onto MAGs and the graphical Markov-equivalence test live here too.
 
 Separation is decided by reachability over (node, arrival mark) states: a
 walk passes a collider only if it is an ancestor of the conditioning set,
@@ -522,7 +522,7 @@ def _signature_cached(graph: MixedGraph, scope: Tuple[str, ...]) -> CISet:
 
 
 # ---------------------------------------------------------------------------
-# Inducing paths and graphical Markov equivalence
+# Inducing paths, margins and graphical Markov equivalence
 # ---------------------------------------------------------------------------
 
 def has_inducing_path(
@@ -546,18 +546,35 @@ def has_inducing_path(
     return _connected(graph, x, y, z)
 
 
-def maximal_augmentation(mag: MixedGraph) -> MixedGraph:
-    """The maximal ancestral graph with the same separation statements.
+def project_to_mag(graph: MixedGraph, observed: Iterable[str]) -> MixedGraph:
+    """The MAG over ``observed`` with the separations of a valid DAG or MAG.
 
-    Adds x <-> y for every non-adjacent pair joined by an inducing path
-    (Richardson & Spirtes 2002, Thm 5.1); a maximal graph comes back as is.
+    Edges joining two observed nodes are kept. Two other observed nodes are
+    adjacent iff an inducing path relative to the hidden nodes joins them,
+    that is, iff no set of other observed nodes separates them (Richardson &
+    Spirtes 2002); directed if one is an ancestor of the other, else
+    bi-directed. Projected onto its own nodes, a MAG becomes its maximal
+    augmentation.
     """
-    added = tuple(
-        Edge.bidirected(x, y)
-        for x, y in itertools.combinations(mag.nodes, 2)
-        if not mag.has_edge(x, y) and has_inducing_path(mag, x, y)
-    )
-    return MixedGraph(mag.kind, mag.nodes, mag.edges + added) if added else mag
+    if graph.kind is GraphKind.PAG:
+        raise ValueError("project_to_mag expects a DAG or a MAG")
+    require_valid(graph, graph.kind, "graph")
+    observed = tuple(sorted(set(observed)))
+    unknown = set(observed) - set(graph.nodes)
+    if unknown:
+        raise ValueError(f"unknown observed nodes: {sorted(unknown)}")
+    hidden = set(graph.nodes) - set(observed)
+    edges = [e for e in graph.edges if e.a not in hidden and e.b not in hidden]
+    for x, y in itertools.combinations(observed, 2):
+        if graph.has_edge(x, y) or not has_inducing_path(graph, x, y, hidden):
+            continue
+        if graph.is_ancestor(x, y):
+            edges.append(Edge.directed(x, y))
+        elif graph.is_ancestor(y, x):
+            edges.append(Edge.directed(y, x))
+        else:
+            edges.append(Edge.bidirected(x, y))
+    return MixedGraph(GraphKind.MAG, observed, tuple(edges))
 
 
 def is_collider(graph: MixedGraph, a: str, b: str, c: str) -> bool:
@@ -613,7 +630,7 @@ class _Invariants:
     __slots__ = ("skeleton", "colliders", "paths")
 
     def __init__(self, mag: MixedGraph):
-        augmented = maximal_augmentation(mag)
+        augmented = project_to_mag(mag, mag.nodes)
         self.skeleton = frozenset(e.pair for e in augmented.edges)
         self.colliders = frozenset(
             t for t in unshielded_triples(augmented) if is_collider(augmented, *t)

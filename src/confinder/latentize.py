@@ -5,15 +5,12 @@ its own parentless binary latent always reproduces the MAG's conditional
 independencies over the observed variables, but connected groups of
 bi-directed edges can sometimes share a single latent. This module
 enumerates the connectivity-respecting groupings lazily, fewest latents
-first, checks each candidate DAG for independence equivalence with the
-source MAG, and returns the first that passes.
-
-The reverse direction, marginalising a DAG's latent variables into a MAG,
-lives here too, since the experiment harness needs it to build ground truth.
+first, and returns the first candidate DAG whose margin over the observed
+nodes equals the source MAG's maximal augmentation. The exhaustive
+CI-signature comparison stays as the reference for that check.
 """
 from __future__ import annotations
 
-import itertools
 import time
 from dataclasses import dataclass
 from typing import Iterator, List, Mapping, Optional, Sequence, Tuple
@@ -24,7 +21,7 @@ from confinder.graphs import (
     GraphKind,
     MixedGraph,
     ci_signature,
-    has_inducing_path,
+    project_to_mag,
     require_valid,
 )
 
@@ -33,7 +30,7 @@ RESERVED_PREFIX = "_"
 LATENT_PREFIX = RESERVED_PREFIX + "L"
 DEFAULT_LATENT_STATES = 2
 
-# verify walks every conditioning set, 3^n growth, so it refuses larger inputs
+# verify_ci_equivalence walks every conditioning set, 3^n growth: capped
 EXHAUSTIVE_VERIFY_MAX_OBSERVED = 12
 
 
@@ -240,9 +237,9 @@ def apply_spec(mag: MixedGraph, spec: LatentSpec) -> LatentizedDag:
 def verify_ci_equivalence(candidate: LatentizedDag) -> bool:
     """Does the DAG entail exactly the MAG's independencies over observed?
 
-    Exhaustive signature comparison; refuses more than
-    EXHAUSTIVE_VERIFY_MAX_OBSERVED observed nodes, where the
-    conditioning-set space is too large.
+    The exhaustive reference for :func:`preserves_independencies`, which
+    the search uses instead; refuses more than EXHAUSTIVE_VERIFY_MAX_OBSERVED
+    observed nodes, where the conditioning-set space is too large.
     """
     if candidate.source_mag is None:
         raise ValueError("candidate has no source MAG to compare against")
@@ -257,52 +254,37 @@ def verify_ci_equivalence(candidate: LatentizedDag) -> bool:
     )
 
 
+def preserves_independencies(candidate: LatentizedDag, maximal: MixedGraph) -> bool:
+    """Is the DAG's margin ``maximal``, the source MAG projected onto itself?
+
+    A candidate keeps the MAG's directed edges and adds only parentless
+    latents, so both graphs are maximal and orient every edge by the same
+    ancestry: they are Markov equivalent iff they are equal.
+    """
+    return project_to_mag(candidate.dag, candidate.observed) == maximal
+
+
 def latentize_min(mag: MixedGraph, deadline: Optional[float] = None) -> LatentizedDag:
     """The DAG with the fewest binary latents preserving the MAG's CIs.
 
     Candidates are tried in ascending latent count; the finest grouping (one
     latent per bi-directed edge) always preserves the independencies, so a
-    valid MAG within the verification guard always yields a model, and
-    finding none is a program fault (InconsistentStateError).
+    valid MAG always yields a model, and finding none is a program fault
+    (InconsistentStateError).
 
     ``deadline`` is a ``time.monotonic()`` instant checked before each
-    verification. Once it has passed, the finest grouping comes back
-    unverified, since it preserves the independencies by construction.
+    candidate. Once it has passed, the finest grouping comes back unchecked,
+    since it preserves the independencies by construction.
     """
-    for spec in candidate_groupings(mag):
+    specs = candidate_groupings(mag)
+    maximal = project_to_mag(mag, mag.nodes)
+    for spec in specs:
         if deadline is not None and time.monotonic() >= deadline:
             return apply_spec(mag, _spec(sorted(mag.bidirected_edges())))
         candidate = apply_spec(mag, spec)
-        if verify_ci_equivalence(candidate):
+        if preserves_independencies(candidate, maximal):
             return candidate
     raise InconsistentStateError(
         f"no independence-preserving latent placement found for MAG with edges "
         f"{[f'{e.a}{e.mark_a.value}-{e.mark_b.value}{e.b}' for e in mag.edges]}"
     )
-
-
-def project_to_mag(dag: MixedGraph, observed: Sequence[str]) -> MixedGraph:
-    """Marginalise a DAG's hidden nodes into the MAG over ``observed``.
-
-    Two observed nodes are adjacent iff an inducing path relative to the
-    hidden nodes joins them, which holds iff no set of other observed nodes
-    separates them (Richardson & Spirtes 2002); an adjacency is directed
-    when one endpoint is an ancestor of the other and bi-directed otherwise.
-    """
-    require_valid(dag, GraphKind.DAG, "dag")
-    observed = tuple(sorted(set(observed)))
-    unknown = set(observed) - set(dag.nodes)
-    if unknown:
-        raise ValueError(f"unknown observed nodes: {sorted(unknown)}")
-    hidden = set(dag.nodes) - set(observed)
-    edges = []
-    for x, y in itertools.combinations(observed, 2):
-        if not has_inducing_path(dag, x, y, hidden):
-            continue
-        if dag.is_ancestor(x, y):
-            edges.append(Edge.directed(x, y))
-        elif dag.is_ancestor(y, x):
-            edges.append(Edge.directed(y, x))
-        else:
-            edges.append(Edge.bidirected(x, y))
-    return MixedGraph(GraphKind.MAG, observed, tuple(edges))

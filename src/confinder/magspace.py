@@ -29,7 +29,7 @@ from confinder.graphs import (
     has_inducing_path,
     is_collider,
     markov_equivalent,
-    maximal_augmentation,
+    project_to_mag,
     require_valid,
     unshielded_triples,
     validate,
@@ -238,10 +238,11 @@ def is_maximal(mag: MixedGraph) -> bool:
     """True iff every non-adjacent node pair is m-separated by some set.
 
     That holds iff no inducing path joins a non-adjacent pair, that is, iff
-    the maximal augmentation adds no edge.
+    projecting the MAG onto its own nodes (its maximal augmentation) adds no
+    edge.
     """
     require_valid(mag, GraphKind.MAG, "mag")
-    return maximal_augmentation(mag) is mag
+    return project_to_mag(mag, mag.nodes) == mag
 
 
 def pag_of_mag(mag: MixedGraph) -> MixedGraph:

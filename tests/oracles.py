@@ -6,7 +6,8 @@ node, CI signatures by one walk per query (``d_separated`` and
 ``m_separated``, per-query wrappers defined here over the separation walk
 ``graphs._connected`` that ``has_inducing_path`` uses), hill-climbing
 candidates are ordered by the full move key, Markov equivalence and marginal
-MAGs by comparing or reading full CI signatures, equivalence classes and
+MAGs by comparing or reading full CI signatures, maximal augmentations by
+adding a bi-directed edge per inducing path, equivalence classes and
 PAGs by trying every orientation, latent groupings by building every
 partition before sorting, and the reference VBEM fit keeps one
 responsibility vector per row, the sequential fit runs each restart
@@ -33,6 +34,7 @@ from confinder.graphs import (
     MixedGraph,
     _connected,
     ci_signature,
+    has_inducing_path,
     is_collider,
     markov_equivalent,
     unshielded_triples,
@@ -255,6 +257,20 @@ def is_maximal_oracle(mag: MixedGraph) -> bool:
             ):
                 return False
     return True
+
+
+def maximal_augmentation_oracle(mag: MixedGraph) -> MixedGraph:
+    """The maximal ancestral graph with the same separation statements.
+
+    Adds x <-> y for every non-adjacent pair joined by an inducing path
+    (Richardson & Spirtes 2002, Thm 5.1); a maximal graph comes back as is.
+    """
+    added = tuple(
+        Edge.bidirected(x, y)
+        for x, y in itertools.combinations(mag.nodes, 2)
+        if not mag.has_edge(x, y) and has_inducing_path(mag, x, y)
+    )
+    return MixedGraph(mag.kind, mag.nodes, mag.edges + added) if added else mag
 
 
 def markov_equivalent_oracle(mag_a: MixedGraph, mag_b: MixedGraph) -> bool:

@@ -223,8 +223,8 @@ class TestLearn:
         assert len(parse_trace((tmp_path / "trace.csv").read_text())) >= 1
 
 
-    # 12 variables, 14 circle marks: every verification walks the
-    # conditioning sets of 12 observed nodes, and the class holds 252 MAGs
+    # 12 variables, 14 circle marks, and the class holds 252 MAGs; the same
+    # PAG with a thirteenth variable is past what a signature comparison takes
     TWELVE_PAG = "".join(f"node V{i} 2\n" for i in range(12)) + """\
 V0 <-o V10
 V0 <-o V9
@@ -243,11 +243,19 @@ V5 --> V6
 V5 <-o V8
 V7 o-o V8
 """
+    THIRTEENTH = "node V12 2\nV12 --> V11\n"
 
-    @pytest.mark.parametrize("strategy", ["ilcv", "hclcv"])
-    def test_budget_bounds_a_twelve_variable_search(self, tmp_path, capsys, strategy):
-        (tmp_path / "twelve.pag").write_text(self.TWELVE_PAG)
-        names = [f"V{i}" for i in range(12)]
+    @pytest.mark.parametrize(
+        "strategy, extra",
+        [
+            pytest.param(strategy, extra, id=strategy + suffix)
+            for suffix, extra in (("", ""), ("-thirteen", THIRTEENTH))
+            for strategy in ("ilcv", "hclcv")
+        ],
+    )
+    def test_budget_bounds_a_twelve_variable_search(self, tmp_path, capsys, strategy, extra):
+        (tmp_path / "twelve.pag").write_text(self.TWELVE_PAG + extra)
+        names = [f"V{i}" for i in range(13 if extra else 12)]
         rng = random.Random(0)
         rows = [",".join(str(rng.randint(0, 1)) for _ in names) for _ in range(200)]
         (tmp_path / "data.csv").write_text("\n".join([",".join(names), *rows]) + "\n")
@@ -365,6 +373,18 @@ class TestEnumerateAndLatentize:
             ("X2", "X3"),
         ]
 
+    def test_latentize_takes_thirteen_variables(self, tmp_path, capsys):
+        nodes = [f"X{i:02d}" for i in range(13)]
+        (tmp_path / "wide.mag").write_text(
+            "".join(f"node {n} 2\n" for n in nodes)
+            + "".join(f"{a} <-> {b}\n" for a, b in zip(nodes, nodes[1:3]))
+            + "".join(f"{a} --> {b}\n" for a, b in zip(nodes[2:], nodes[3:]))
+        )
+        code = main(["latentize", str(tmp_path / "wide.mag")])
+        assert code == EXIT_OK
+        model = parse_latentized(capsys.readouterr().out)
+        assert [l.children for l in model.spec.latents] == [("X00", "X01"), ("X01", "X02")]
+
 
 class TestTraceCommand:
     def test_emits_only_the_visit_log(self, workdir, capsys):
@@ -468,7 +488,7 @@ class TestExitCodes:
         # the finest grouping always verifies for a valid MAG, so finding no
         # placement is a program fault, not bad input
         (tmp_path / "pair.mag").write_text("node A 2\nnode B 2\nA <-> B\n")
-        monkeypatch.setattr(latentize, "verify_ci_equivalence", lambda candidate: False)
+        monkeypatch.setattr(latentize, "preserves_independencies", lambda c, maximal: False)
         code = main(["latentize", str(tmp_path / "pair.mag")])
         assert code == EXIT_INTERNAL
         assert "no independence-preserving latent placement" in capsys.readouterr().err

@@ -12,7 +12,7 @@ from confinder.graphs import (
     ci_signature,
     has_inducing_path,
     markov_equivalent,
-    maximal_augmentation,
+    project_to_mag,
     validate,
 )
 from oracles import (
@@ -23,6 +23,7 @@ from oracles import (
     is_maximal_oracle,
     m_separated,
     markov_equivalent_oracle,
+    maximal_augmentation_oracle,
     orient_randomly,
     random_dag,
     random_mag,
@@ -397,7 +398,7 @@ def test_augmentation_of_non_maximal_mag_is_equivalent_with_another_skeleton():
         Edge.directed("B", "X"),
     )
     assert has_inducing_path(m, "X", "Y")
-    full = maximal_augmentation(m)
+    full = project_to_mag(m, m.nodes)
     assert set(full.edges) == set(m.edges) | {Edge.bidirected("X", "Y")}
     assert markov_equivalent(m, full)
     assert markov_equivalent_oracle(m, full)
@@ -440,9 +441,31 @@ def test_equivalence_matches_signature_oracle(seed):
         (non_maximal, other_skeleton),
     ]
     for g in same_skeleton + [other_skeleton, non_maximal]:
-        full = maximal_augmentation(g)
+        full = project_to_mag(g, g.nodes)
         assert is_maximal_oracle(full)
         assert markov_equivalent(g, full) and markov_equivalent(full, g)
         pairs.append((g, full))
     for a, b in pairs:
         assert markov_equivalent(a, b) == markov_equivalent_oracle(a, b)
+
+
+@given(st.integers(0, 10**6))
+@settings(max_examples=60, deadline=None)
+def test_projection_onto_own_nodes_is_the_maximal_augmentation(seed):
+    rng = random.Random(seed)
+    n = rng.randint(4, 7)
+    for g in (random_mag(rng, n, rng.choice((0.3, 0.5))), random_non_maximal_mag(rng, n)):
+        full = project_to_mag(g, g.nodes)
+        assert full == maximal_augmentation_oracle(g)
+        assert project_to_mag(full, full.nodes) == full
+
+
+def test_projection_keeps_edges_between_observed_nodes():
+    # A <-> B stays although a hidden H would also join A and B
+    kept = (Edge.bidirected("A", "B"), Edge.directed("B", "C"))
+    m = mag("ABCH", *kept, Edge.directed("H", "A"), Edge.directed("H", "B"))
+    assert project_to_mag(m, "ABC") == mag("ABC", *kept)
+    with pytest.raises(ValueError, match="DAG or a MAG"):
+        project_to_mag(m.with_kind(GraphKind.PAG), "AB")
+    with pytest.raises(ValueError, match="unknown observed"):
+        project_to_mag(m, "AQ")

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from confinder import latentize
 from confinder.errors import InconsistentStateError
-from confinder.graphs import Edge, GraphKind, MixedGraph, ci_signature, validate
+from confinder.graphs import Edge, GraphKind, MixedGraph, ci_signature, project_to_mag, validate
 from confinder.latentize import (
     Latent,
     LatentSpec,
@@ -16,7 +16,7 @@ from confinder.latentize import (
     apply_spec,
     candidate_groupings,
     latentize_min,
-    project_to_mag,
+    preserves_independencies,
     verify_ci_equivalence,
 )
 from oracles import (
@@ -271,10 +271,12 @@ def test_passed_deadline_returns_the_finest_grouping(monkeypatch):
     m = mag("ABC", *[Edge.bidirected(a, b) for a, b in itertools.combinations("ABC", 2)])
     assert children_sets(latentize_min(m).spec) == [("A", "B", "C")]
     assert latentize_min(m, deadline=time.monotonic() + 3600) == latentize_min(m)
-    verified = []
-    monkeypatch.setattr(latentize, "verify_ci_equivalence", verified.append)
+    checked = []
+    monkeypatch.setattr(
+        latentize, "preserves_independencies", lambda c, maximal: checked.append(c)
+    )
     finest = latentize_min(m, deadline=0.0)
-    assert verified == []
+    assert checked == []
     assert children_sets(finest.spec) == [("A", "B"), ("A", "C"), ("B", "C")]
     assert finest == apply_spec(m, list(candidate_groupings(m))[-1])
     monkeypatch.undo()
@@ -292,6 +294,26 @@ def test_signatures_of_every_candidate_match_the_oracle(seed):
     for spec in candidate_groupings(source):
         candidate = apply_spec(source, spec).dag
         assert ci_signature(candidate, observed) == ci_signature_oracle(candidate, observed)
+
+
+@given(st.integers(0, 10**6))
+@settings(max_examples=25, deadline=None)
+def test_margin_check_matches_the_signature_comparison(seed):
+    rng = random.Random(seed)
+    n = rng.randint(4, 7)
+    model, _data = random_latentized_instance(rng, max_latents=3)
+    sources = [
+        random_mag(rng, n, rng.choice((0.3, 0.5))),
+        random_non_maximal_mag(rng, n),
+        project_to_mag(model.dag, model.observed),
+    ]
+    for source in sources:
+        maximal = project_to_mag(source, source.nodes)
+        for spec in candidate_groupings(source):
+            candidate = apply_spec(source, spec)
+            assert preserves_independencies(candidate, maximal) == verify_ci_equivalence(
+                candidate
+            )
 
 
 # -- verify_ci_equivalence ------------------------------------------------------

@@ -94,17 +94,17 @@ def test_enumeration_augments_the_reference_once(monkeypatch):
     ref = reference_mag(source)
     monkeypatch.setattr(confinder.magspace, "reference_mag", lambda _pag: ref)
     augmented = []
-    original = confinder.graphs.maximal_augmentation
+    original = confinder.graphs.project_to_mag
 
-    def counting(graph):
+    def counting(graph, observed):
         augmented.append(graph)
-        return original(graph)
+        return original(graph, observed)
 
-    monkeypatch.setattr(confinder.graphs, "maximal_augmentation", counting)
+    monkeypatch.setattr(confinder.graphs, "project_to_mag", counting)
     strata = enumerate_mags(source)
     assert len(all_mags(strata)) > 2
     assert sum(graph is ref for graph in augmented) == 1
-    # every other augmentation is of a distinct candidate
+    # every other projection is of a distinct candidate
     others = [graph for graph in augmented if graph is not ref]
     assert len(others) == len({id(graph) for graph in others})
 

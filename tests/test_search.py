@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import confinder.latentize
 import confinder.magspace
 from confinder.errors import ConstructionError, InconsistentStateError
 from confinder.graphs import Edge, GraphKind, MixedGraph
@@ -60,6 +61,22 @@ def instrument_pag():
         GraphKind.MAG,
         ("A", "B", "C", "D"),
         (Edge.directed("A", "B"), Edge.bidirected("B", "C"), Edge.directed("D", "C")),
+    )
+    return pag_of_mag(mag)
+
+
+def two_confounder_pag():
+    # ground truth: U1 -> {B, C}, U2 -> {C, D}, instruments A -> B and
+    # E -> D; both colliders are forced, so B <-> C <-> D is invariant
+    mag = MixedGraph(
+        GraphKind.MAG,
+        ("A", "B", "C", "D", "E"),
+        (
+            Edge.directed("A", "B"),
+            Edge.bidirected("B", "C"),
+            Edge.bidirected("C", "D"),
+            Edge.directed("E", "D"),
+        ),
     )
     return pag_of_mag(mag)
 
@@ -299,19 +316,7 @@ class TestHillClimbCandidates:
 
 class TestMinimalLatentCount:
     def test_two_confounder_class_keeps_minimum_counts(self):
-        # ground truth: U1 -> {B, C}, U2 -> {C, D}, instruments A -> B and
-        # E -> D; both colliders are forced, so B <-> C <-> D is invariant
-        mag = MixedGraph(
-            GraphKind.MAG,
-            ("A", "B", "C", "D", "E"),
-            (
-                Edge.directed("A", "B"),
-                Edge.bidirected("B", "C"),
-                Edge.bidirected("C", "D"),
-                Edge.directed("E", "D"),
-            ),
-        )
-        pag = pag_of_mag(mag)
+        pag = two_confounder_pag()
         strata = enumerate_mags(pag)
         assert strata[0].bidirected_count == 2
 
@@ -354,6 +359,31 @@ class TestMinimalLatentCount:
                 )
                 allowed.add(model_id(bumped))
         assert {e.model_id for e in trace.entries} <= allowed
+
+    @pytest.mark.parametrize("strategy", ["ilcv", "hclcv"])
+    def test_search_never_compares_signatures(self, monkeypatch, strategy):
+        def refuse(*_args):
+            raise AssertionError("the search compared CI signatures")
+
+        monkeypatch.setattr(confinder.graphs, "ci_signature", refuse)
+        monkeypatch.setattr(confinder.latentize, "ci_signature", refuse)
+        monkeypatch.setattr(confinder.latentize, "verify_ci_equivalence", refuse)
+        checks = []
+        original = confinder.latentize.preserves_independencies
+
+        def recording(candidate, maximal):
+            checks.append(original(candidate, maximal))
+            return checks[-1]
+
+        monkeypatch.setattr(confinder.latentize, "preserves_independencies", recording)
+        rng = np.random.default_rng(2)
+        data = Dataset(tuple((n, 2) for n in "ABCDE"), rng.integers(0, 2, (60, 5)))
+        best, _trace = run_search(
+            two_confounder_pag(), data, SearchConfig(strategy=strategy, restarts=1)
+        )
+        assert len(best.model.spec) == 2
+        # the merged latent over B, C and D was checked and turned down
+        assert False in checks and True in checks
 
 
 class TestStateSearch:
