@@ -341,8 +341,17 @@ def validate(graph: MixedGraph) -> ValidityReport:
     Violations are reported as data; an empty report means the graph is a
     well-formed DAG/MAG/PAG. Undirected (tail-tail) edges are rejected for
     every kind since selection bias is out of scope, and so are tail-circle
-    marks, which only arise under selection.
+    marks, which only arise under selection. The report is kept on the
+    instance, like the adjacency index, so a graph is checked once.
     """
+    report = graph.__dict__.get("_valid")
+    if report is None:
+        report = _check(graph)
+        object.__setattr__(graph, "_valid", report)
+    return report
+
+
+def _check(graph: MixedGraph) -> ValidityReport:
     v = []
     for e in graph.edges:
         marks = {e.mark_a, e.mark_b}
@@ -577,6 +586,17 @@ def project_to_mag(graph: MixedGraph, observed: Iterable[str]) -> MixedGraph:
     return MixedGraph(GraphKind.MAG, observed, tuple(edges))
 
 
+def maximal_augmentation(mag: MixedGraph) -> MixedGraph:
+    """``project_to_mag(mag, mag.nodes)``, kept on the instance: enumeration
+    builds it to compare classes, and latentization compares candidates'
+    margins with it."""
+    augmented = mag.__dict__.get("_aug")
+    if augmented is None:
+        augmented = project_to_mag(mag, mag.nodes)
+        object.__setattr__(mag, "_aug", augmented)
+    return augmented
+
+
 def is_collider(graph: MixedGraph, a: str, b: str, c: str) -> bool:
     """Do the edges a *-* b and b *-* c both have an arrowhead at b?"""
     return graph.mark_between(b, a) is Mark.ARROW and graph.mark_between(b, c) is Mark.ARROW
@@ -630,7 +650,7 @@ class _Invariants:
     __slots__ = ("skeleton", "colliders", "paths")
 
     def __init__(self, mag: MixedGraph):
-        augmented = project_to_mag(mag, mag.nodes)
+        augmented = maximal_augmentation(mag)
         self.skeleton = frozenset(e.pair for e in augmented.edges)
         self.colliders = frozenset(
             t for t in unshielded_triples(augmented) if is_collider(augmented, *t)

@@ -21,6 +21,7 @@ from confinder.graphs import (
     GraphKind,
     MixedGraph,
     ci_signature,
+    maximal_augmentation,
     project_to_mag,
     require_valid,
 )
@@ -277,7 +278,7 @@ def latentize_min(mag: MixedGraph, deadline: Optional[float] = None) -> Latentiz
     since it preserves the independencies by construction.
     """
     specs = candidate_groupings(mag)
-    maximal = project_to_mag(mag, mag.nodes)
+    maximal = maximal_augmentation(mag)
     for spec in specs:
         if deadline is not None and time.monotonic() >= deadline:
             return apply_spec(mag, _spec(sorted(mag.bidirected_edges())))

@@ -29,7 +29,7 @@ from confinder.graphs import (
     has_inducing_path,
     is_collider,
     markov_equivalent,
-    project_to_mag,
+    maximal_augmentation,
     require_valid,
     unshielded_triples,
     validate,
@@ -242,7 +242,7 @@ def is_maximal(mag: MixedGraph) -> bool:
     edge.
     """
     require_valid(mag, GraphKind.MAG, "mag")
-    return project_to_mag(mag, mag.nodes) == mag
+    return maximal_augmentation(mag) == mag
 
 
 def pag_of_mag(mag: MixedGraph) -> MixedGraph:

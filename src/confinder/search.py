@@ -17,9 +17,10 @@ walks differ only in how they move through the MAG space:
 
 A walk returns the model to grow and its stop reason, and returns at once
 when a budget check fails; the session marks the budget after every fit,
-and the frame then skips the growth and reports ``budget``. Fits are
-seeded per model fingerprint, so a model scores identically wherever it
-is encountered, and every evaluation is logged in an anytime trace.
+and the frame then skips the growth and reports ``budget``. Every fit
+takes the same seed and a component's restarts are seeded from its own
+key, so a model scores identically wherever it is encountered, and every
+evaluation is logged in an anytime trace.
 """
 from __future__ import annotations
 
@@ -39,6 +40,7 @@ from confinder.vbem import (
     DEFAULT_RESTARTS,
     Dataset,
     FamilyPrior,
+    FitMemo,
     ScoreReport,
     VariationalState,
     run_vbem,
@@ -172,15 +174,23 @@ def model_id(model: LatentizedDag) -> str:
 
 
 class _Session:
-    """Shared scoring state: clock, cache, trace, and incumbent best.
+    """Shared scoring state: clock, caches, trace, and incumbent best.
 
-    Fits are memoized by model fingerprint; a cache hit is a reuse, not a
-    new visit, so it adds no trace entry.
+    Scored models are memoized by model fingerprint; a cache hit is a
+    reuse, not a new visit, so it adds no trace entry. Every new model is
+    one ``run_vbem`` call with the session's ``memo``, which keeps each
+    latent-free family's score by (node, parents), each latent component's
+    fit by its label-free key, and the distinct rows of each column set. A
+    component shared by several models is thus fitted once, and, since
+    all fits take the same seed, a model scores the same whatever was
+    scored before it.
     """
 
     def __init__(self, data: Dataset, cfg: SearchConfig):
         self.data = data
         self.cfg = cfg
+        self.memo = FitMemo(data)
+        self.seed = derive_seed(cfg.seed, "vbem")
         self.started = time.monotonic()
         self.deadline = self.started + cfg.budget_seconds
         self.entries: List[TraceEntry] = []
@@ -207,8 +217,9 @@ class _Session:
             self.data,
             c=self.cfg.convergence,
             restarts=self.cfg.restarts,
-            seed=derive_seed(self.cfg.seed, "vbem", fingerprint),
+            seed=self.seed,
             deadline=self.deadline,
+            memo=self.memo,
         )
         # a fit that ran into the deadline was cut short: the run is over
         self.out_of_time()

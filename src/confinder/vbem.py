@@ -9,7 +9,7 @@ evaluated in its closed form at the VB-M fixed point.
 
 Given the parameters the bound splits into one term per row, so identical
 rows share one responsibility vector at the optimum. A fit therefore runs
-over the distinct rows m of the data, each weighted by its count w_m:
+over distinct rows m, each weighted by its count w_m:
 
     ELBO = sum_m w_m H(q_latent row m)
          + sum_i sum_j [ logB(posterior alpha_ij.) - logB(prior alpha_ij.) ]
@@ -19,12 +19,34 @@ For latent-free models this is exactly the conjugate log marginal
 likelihood. The fitted ``q_latent`` is returned per observation (one row
 per data row), and the public step functions bind every row with weight 1.
 
-Every family, latent or not, is fitted through one table of cells: one
-row per joint configuration of the family's latents and one column per
-data row, each entry the (parent configuration, state) cell the row lands
-in. The VB-M step adds each row's weight times the joint responsibility
-of every configuration to its cell; the VB-E step gathers the expected log
-parameters of those cells and sums out the other latents' responsibilities.
+``run_vbem`` splits a model before fitting it. A *component* is a set of
+latents joined by shared families (a node with two latent parents joins
+them), together with every family they touch. The split is exact: the
+mean-field bound factorises over latents (Beal & Ghahramani 2006,
+*Bayesian Analysis* 1(4)), a latent's E-step reads only the families of
+its component, and a family's M-step only the responsibilities of its
+latent members. So the ELBO is
+
+    ELBO = sum over latent-free families of their closed-form scores
+         + sum over components of each component's own bound,
+
+and each component can be fitted on its own, over the distinct rows of
+only the columns its families read, which are far fewer than the distinct
+rows of the whole table. The latent-free scores decompose by family and
+are cached by (node, parents) (Heckerman, Geiger & Chickering 1995,
+*Machine Learning* 20). A component is described without its latents'
+names, by (children, states) per latent and (node, parents) per family,
+and that key seeds its restarts; with a ``FitMemo`` shared across calls,
+as in a search, a component met again is a lookup. The p-ELBO penalty is
+unchanged.
+
+Every family of a fit, latent or not, goes through one table of cells:
+one row per joint configuration of the family's latents and one column
+per bound row, each entry the (parent configuration, state) cell the row
+lands in. The VB-M step adds each row's weight times the joint
+responsibility of every configuration to its cell; the VB-E step gathers
+the expected log parameters of those cells and sums out the other
+latents' responsibilities.
 
 A fit keeps the best of several seeded restarts, and all of them advance
 together as one batch. Responsibilities are laid out restarts x states x
@@ -45,17 +67,18 @@ table's row sums in the same order. A pass runs on that buffer:
 
 Every sum keeps the order of a per-family computation: each table's row
 and configuration sums reduce that table alone, tables add to the bound
-in canonical order, and a latent's families add in ``touching`` order. A
-fit thus has the same bits as per-family steps, which the test oracles
-keep as the reference. A restart leaves the batch with its state frozen
-as soon as its own stopping rule fires. The public step functions run the
-same pass as a batch of one restart.
+in the binding's family order, and a latent's families add in
+``touching`` order. A batch thus has the same bits as per-family steps,
+which the test oracles keep as the reference, along with the whole-model
+fit. A restart leaves the batch with its state frozen as soon as its own
+stopping rule fires. The public step functions run the same pass as a
+batch of one restart on the whole model.
 
 The searched objective adds a label-symmetry penalty:
 p-ELBO = ELBO - sum_i log(|L_i|!), cancelling the |L_i|! equivalent
 relabelings of each latent's states.
 
-All scores are in nats and accumulated in canonical node order so repeated
+All scores are in nats and accumulated in a canonical order so repeated
 runs are bit-identical.
 """
 from __future__ import annotations
@@ -64,13 +87,13 @@ import functools
 import math
 import time
 from dataclasses import dataclass
-from typing import Dict, Iterable, Mapping, Optional, Tuple
+from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.special import digamma, gammaln, xlogy
 
 from confinder.errors import DataBindingError, InconsistentStateError
-from confinder.latentize import LatentSpec, LatentizedDag
+from confinder.latentize import Latent, LatentSpec, LatentizedDag
 from confinder.seeds import derive_seed
 
 DEFAULT_CONVERGENCE = 0.01
@@ -169,7 +192,14 @@ class FamilyPrior:
 
 @dataclass(eq=False)
 class VariationalState:
-    """Surrogate posterior: per-family Dirichlets plus responsibilities."""
+    """Surrogate posterior: per-family Dirichlets plus responsibilities.
+
+    From ``run_vbem``, ``q_theta`` holds every family's table and
+    ``q_latent`` every latent's responsibilities per observation.
+    ``elbo_trace`` is the latent-free families' score plus, entry by entry,
+    the sum of the components' traces, each padded with its last value
+    once its fit has stopped, so it never decreases.
+    """
 
     q_theta: Dict[str, np.ndarray]
     q_latent: Dict[str, np.ndarray]
@@ -194,8 +224,18 @@ class VariationalState:
 class ScoreReport:
     """Outcome of one fit: bound values plus run accounting.
 
-    ``iterations`` counts bound evaluations: the initial one after setting
-    up the parameter posterior, plus one per E/M pass of the winning run.
+    ``elbo`` is the last entry of the state's ``elbo_trace``, and ``p_elbo``
+    subtracts the label-permutation penalty from it.
+
+    - ``iterations`` is the length of ``elbo_trace``: bound evaluations,
+      the initial one after setting up the parameter posterior plus one per
+      E/M pass, counted for the component whose winning restart ran the
+      most passes. A latent-free model has 1.
+    - ``converged`` holds iff every component's winning restart stopped by
+      the convergence threshold, and the deadline cut no component short. A
+      latent-free model has converged.
+    - ``restarts_used`` is the number of restarts each component ran, all
+      of them in one batch; a latent-free model has 1.
     """
 
     elbo: float
@@ -222,10 +262,10 @@ def parent_strides(parents: Tuple[str, ...], cards: Mapping[str, int]) -> Dict[s
 class _Family:
     """One node's conditional family bound to the rows of a binding.
 
-    ``members`` are the family's latents in sorted order: its latent
-    parents, plus the node itself when it is latent. ``cells`` holds, for
-    every joint configuration of the members (mixed radix, last member
-    varying fastest) and every row, the flat index into the (parent
+    ``members`` are the family's latents in the binding's latent order: its
+    latent parents, plus the node itself when it is latent. ``cells``
+    holds, for every joint configuration of the members (mixed radix, last
+    member varying fastest) and every row, the flat index into the (parent
     configuration x state) table that the row lands in. A latent root thus
     has the rows 0..k-1 and a latent-free family a single row. The prior
     table and, for latent-free families, the posterior table are
@@ -234,18 +274,18 @@ class _Family:
 
     __slots__ = ("node", "members", "shape", "cells", "prior", "static_posterior")
 
-    def __init__(self, node, parents, cards, columns, weights, latent_names,
+    def __init__(self, node, parents, cards, columns, weights, rank,
                  prior: FamilyPrior):
         self.node = node
         card = cards[node]
         # each variable's weight in the flat (configuration, state) index
         place = {p: stride * card for p, stride in parent_strides(parents, cards).items()}
         place[node] = 1
-        self.members = tuple(sorted(n for n in place if n in latent_names))
+        self.members = tuple(sorted((n for n in place if n in rank), key=rank.__getitem__))
         self.shape = tuple(cards[m] for m in self.members)
         observed = np.zeros(len(weights), dtype=np.int64)
         for name, weight in place.items():
-            if name not in latent_names:
+            if name not in rank:
                 observed += weight * columns[name]
         offsets = np.zeros(1, dtype=np.int64)
         for member in self.members:
@@ -337,10 +377,14 @@ class _Layout:
 
 
 class _Binding:
-    """Model structure matched against a row table with one weight per row.
+    """Families matched against a row table with one weight per row.
 
-    The fit binds the dataset's distinct rows weighted by their counts; the
-    public step functions bind every row with weight 1, because a caller's
+    ``families`` are (node, parents) pairs in the order the bound adds
+    them, ``latents`` the latent keys in sweep order; a family's latent
+    members follow that order. A component's fit binds the distinct rows
+    of its columns weighted by their counts, with latents keyed by their
+    position (see ``_Component``); the public step functions bind the
+    whole model to every row with weight 1, because a caller's
     responsibilities may differ between identical rows.
 
     The binding also plans every pass (see the module docstring):
@@ -352,34 +396,18 @@ class _Binding:
     families after those.
     """
 
-    def __init__(self, model: LatentizedDag, data: Dataset, prior: FamilyPrior,
-                 rows: np.ndarray, weights: np.ndarray):
-        observed = model.observed
-        missing = set(observed) - set(data.names)
-        extra = set(data.names) - set(observed)
-        if missing or extra:
-            parts = []
-            if missing:
-                parts.append(f"columns missing from data: {sorted(missing)}")
-            if extra:
-                parts.append(f"columns absent from model: {sorted(extra)}")
-            raise DataBindingError("; ".join(parts))
-        self.n_rows = rows.shape[0]
+    def __init__(self, families, latents, cards, columns, weights: np.ndarray,
+                 prior: FamilyPrior):
+        self.n_rows = len(weights)
         self.weights = weights
         self.alpha = float(prior.alpha)
-        self.latent_names = tuple(sorted(model.spec.names))
-        self.latent_cards = {l.name: l.states for l in model.spec.latents}
-        cards = dict(self.latent_cards)
-        for name in observed:
-            cards[name] = data.cardinality(name)
-        columns = {name: rows[:, i] for i, name in enumerate(data.names)}
-        latent_set = set(self.latent_names)
-        self.families = {}
-        for node in sorted(model.dag.nodes):
-            self.families[node] = _Family(
-                node, model.dag.parents(node), cards, columns, weights,
-                latent_set, prior,
-            )
+        self.latent_names = tuple(latents)
+        self.latent_cards = {l: cards[l] for l in self.latent_names}
+        rank = {l: i for i, l in enumerate(self.latent_names)}
+        self.families = {
+            node: _Family(node, parents, cards, columns, weights, rank, prior)
+            for node, parents in families
+        }
         # families whose tables depend on the responsibilities
         self.dynamic = tuple(
             f for f in self.families.values() if f.static_posterior is None
@@ -581,9 +609,34 @@ class _Binding:
         return self.full_q_theta(self.tables(self.m_step(q_batch)[0]))
 
 
+def _check_columns(model: LatentizedDag, data: Dataset) -> None:
+    observed = model.observed
+    missing = set(observed) - set(data.names)
+    extra = set(data.names) - set(observed)
+    if missing or extra:
+        parts = []
+        if missing:
+            parts.append(f"columns missing from data: {sorted(missing)}")
+        if extra:
+            parts.append(f"columns absent from model: {sorted(extra)}")
+        raise DataBindingError("; ".join(parts))
+
+
+def _bind_model(model: LatentizedDag, data: Dataset, prior: FamilyPrior,
+                rows: np.ndarray, weights: np.ndarray) -> _Binding:
+    """The whole model bound to ``rows``, a table in the dataset's column
+    order: families in node-name order, latents swept in name order."""
+    _check_columns(model, data)
+    cards = dict(data.variables)
+    cards.update((l.name, l.states) for l in model.spec.latents)
+    columns = {name: rows[:, i] for i, name in enumerate(data.names)}
+    families = [(node, model.dag.parents(node)) for node in sorted(model.dag.nodes)]
+    return _Binding(families, sorted(model.spec.names), cards, columns, weights, prior)
+
+
 def _bind_every_row(model: LatentizedDag, data: Dataset,
                     prior: Optional[FamilyPrior] = None) -> _Binding:
-    return _Binding(model, data, prior or FamilyPrior(), data.rows, np.ones(data.n_rows))
+    return _bind_model(model, data, prior or FamilyPrior(), data.rows, np.ones(data.n_rows))
 
 
 def _check_fixed_point(binding, q_theta, q_batch) -> None:
@@ -602,6 +655,13 @@ def _rows_last(binding: _Binding, q_latent) -> Dict[str, np.ndarray]:
     return {name: q_latent[name].T[None] for name in binding.latent_names}
 
 
+def _log_beta(table: np.ndarray) -> float:
+    """The log-Beta of every row of a Dirichlet table, summed."""
+    return float(np.sum(gammaln(table).sum(axis=-1) - gammaln(table.sum(axis=-1))))
+
+
+# -- one batch of restarts -----------------------------------------------------
+
 def _group_means(draws: np.ndarray, inverse: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Average the rows of ``draws`` within each group of identical data rows."""
     sums = np.stack(
@@ -609,6 +669,266 @@ def _group_means(draws: np.ndarray, inverse: np.ndarray, counts: np.ndarray) -> 
         axis=1,
     )
     return sums / counts[:, None]
+
+
+def _draw(binding: _Binding, inverse: np.ndarray, counts: np.ndarray, seed: int,
+          restarts: int) -> Dict[object, np.ndarray]:
+    """Every restart's initial responsibilities over the bound rows.
+
+    Restart r draws, from its own stream, a flat Dirichlet vector per
+    observation for each latent in sweep order, and each bound row takes
+    the mean over the observations it stands for (``inverse``).
+    """
+    rngs = [np.random.default_rng(derive_seed(seed, "restart", r)) for r in range(restarts)]
+    return {
+        name: np.stack([
+            _group_means(
+                rng.dirichlet(np.ones(binding.latent_cards[name]), size=len(inverse)),
+                inverse,
+                counts,
+            ).T
+            for rng in rngs
+        ])
+        for name in binding.latent_names
+    }
+
+
+@dataclass(frozen=True, eq=False)
+class _Fitted:
+    """The winning restart of a batch: every dynamic table, each latent's
+    states x bound-rows responsibilities, the bound trace, and whether it
+    converged (never when the deadline cut the batch)."""
+
+    tables: Dict[object, np.ndarray]
+    q_latent: Dict[object, np.ndarray]
+    trace: Tuple[float, ...]
+    converged: bool
+    cut: bool
+
+
+def _run_batch(binding: _Binding, q_latent, c: float, max_iterations: int,
+               deadline: Optional[float]) -> _Fitted:
+    """Advance every restart as one batch and keep the best.
+
+    A restart leaves the batch, its state frozen, once a pass after the
+    first improves its bound by less than ``c`` or after ``max_iterations``
+    passes. The best final bound wins; ties go to the earliest restart.
+    ``deadline`` is checked before every pass; once it has passed, every
+    running restart stops.
+    """
+    restarts = len(q_latent[binding.latent_names[0]])
+    buffer = binding.m_step(q_latent)
+    bounds = binding.bound(buffer, q_latent)
+    traces = [[value] for value in bounds.tolist()]
+    running = list(range(restarts))  # the restart at each batch position
+    # restart -> (pass buffer row, responsibilities, converged)
+    frozen: Dict[int, Tuple[np.ndarray, dict, bool]] = {}
+
+    def freeze(positions, converged):
+        for i in positions:
+            frozen[running[i]] = (
+                buffer[i], {name: q[i] for name, q in q_latent.items()}, converged,
+            )
+
+    cut = False
+    for iteration in range(max_iterations):
+        if deadline is not None and time.monotonic() >= deadline:
+            cut = True
+            break
+        q_latent = binding.e_step(buffer, q_latent)
+        buffer = binding.m_step(q_latent)
+        previous, bounds = bounds, binding.bound(buffer, q_latent)
+        for restart, value in zip(running, bounds.tolist()):
+            traces[restart].append(value)
+        # the first pass starts from the averaged draw, whose bound sits
+        # above the draw's own, so its small gain does not mean converged
+        if not iteration:
+            continue
+        done = np.abs(bounds - previous) < c
+        if done.any():
+            freeze(np.flatnonzero(done), True)
+            keep = np.flatnonzero(~done)
+            running = [running[i] for i in keep]
+            if not running:
+                break
+            buffer = buffer[keep]
+            q_latent = {name: q[keep] for name, q in q_latent.items()}
+            bounds = bounds[keep]
+    freeze(range(len(running)), False)
+
+    finals = [trace[-1] for trace in traces]
+    winner = finals.index(max(finals))
+    row, responsibilities, converged = frozen[winner]
+    # copies, so a kept fit does not hold on to the whole batch
+    return _Fitted(binding.tables(row.copy()),
+                   {name: q.copy() for name, q in responsibilities.items()},
+                   tuple(traces[winner]), converged and not cut, cut)
+
+
+# -- models split into components -----------------------------------------------
+
+class _Component:
+    """Latents joined by shared families, with every family they touch, in
+    a form that does not depend on the latents' names.
+
+    ``latents`` holds the model's names in canonical order, by children and
+    then states; two latents that tie are interchangeable. Inside the
+    component a latent is its position in that order. ``families`` holds
+    (node, parents) for every observed node with a latent parent, by node
+    name, with the observed parents by name and then the latent ones by
+    position; each latent's own parentless family is implied. ``key`` is
+    all the fit depends on besides the data: (children, states) per latent,
+    and ``families``. ``columns`` are the observed nodes those families
+    read, and ``reorder`` gives, for a family whose parents the model
+    orders otherwise, the table's axes and their order in the model.
+    """
+
+    __slots__ = ("key", "latents", "families", "columns", "reorder")
+
+    def __init__(self, model: LatentizedDag, latents: Sequence[Latent],
+                 children: Sequence[str], cards: Mapping[str, int]):
+        ordered = sorted(latents, key=lambda l: (l.children, l.states, l.name))
+        self.latents = tuple(l.name for l in ordered)
+        position = {name: i for i, name in enumerate(self.latents)}
+        sizes = {**cards, **{i: l.states for i, l in enumerate(ordered)}}
+        families, self.reorder = [], {}
+        for node in sorted(children):
+            in_model = tuple(position.get(p, p) for p in model.dag.parents(node))
+            parents = tuple(p for p in in_model if isinstance(p, str)) + tuple(
+                sorted(p for p in in_model if not isinstance(p, str))
+            )
+            families.append((node, parents))
+            if parents != in_model:
+                self.reorder[node] = (
+                    tuple(sizes[p] for p in parents) + (cards[node],),
+                    tuple(parents.index(p) for p in in_model) + (len(parents),),
+                )
+        self.families = tuple(families)
+        self.key = (tuple((l.children, l.states) for l in ordered), self.families)
+        self.columns = frozenset(
+            p for node, parents in self.families for p in (node,) + parents
+            if isinstance(p, str)
+        )
+
+    def bind(self, data: Dataset, names: Tuple[str, ...], rows: np.ndarray,
+             counts: np.ndarray, prior: FamilyPrior) -> _Binding:
+        """The component over ``rows``, the distinct rows of the columns
+        ``names``, each weighted by its count."""
+        cards = {name: data.cardinality(name) for name in names}
+        cards.update((i, states) for i, (_children, states) in enumerate(self.key[0]))
+        positions = range(len(self.latents))
+        families = [(i, ()) for i in positions] + list(self.families)
+        columns = {name: rows[:, i] for i, name in enumerate(names)}
+        return _Binding(families, positions, cards, columns, counts, prior)
+
+    def model_table(self, node, table: np.ndarray) -> np.ndarray:
+        """A copy of a fitted table, laid out over the model's parent order."""
+        reorder = self.reorder.get(node)
+        if reorder is None:
+            return table.copy()
+        shape, axes = reorder
+        return table.reshape(shape).transpose(axes).reshape(table.shape)
+
+
+def _split(model: LatentizedDag, cards: Mapping[str, int]
+           ) -> Tuple[Tuple[str, ...], Tuple[_Component, ...]]:
+    """The model's latent-free family nodes, by name, and its components,
+    by their latents. ``cards`` holds the observed cardinalities."""
+    latents = {l.name: l for l in model.spec.latents}
+    group = {name: name for name in latents}
+
+    def root(name):
+        while group[name] != name:
+            name = group[name]
+        return name
+
+    free, touched = [], []
+    for node in sorted(model.dag.nodes):
+        if node in latents:
+            continue
+        members = [p for p in model.dag.parents(node) if p in latents]
+        if not members:
+            free.append(node)
+            continue
+        touched.append((node, members[0]))
+        for other in members[1:]:
+            group[root(other)] = root(members[0])
+    parts: Dict[str, Tuple[list, list]] = {}
+    for name in latents:
+        parts.setdefault(root(name), ([], []))[0].append(latents[name])
+    for node, member in touched:
+        parts[root(member)][1].append(node)
+    components = sorted(
+        (_Component(model, members, children, cards) for members, children in parts.values()),
+        key=lambda component: component.key[0],
+    )
+    return tuple(free), tuple(components)
+
+
+class FitMemo:
+    """What the fits on one dataset share, so a repeated part is a lookup.
+
+    ``run_vbem`` keeps here each component's fit by its key and the fit
+    settings, each latent-free family's posterior table and score by
+    (node, parents) and the prior, and the distinct rows, with each
+    observation's row and each row's count, of every set of columns it has
+    bound. A fit that the deadline cut short is not kept.
+    """
+
+    def __init__(self, data: Dataset):
+        self.data = data
+        self.components: Dict[tuple, Tuple[_Fitted, np.ndarray]] = {}
+        self.families: Dict[tuple, Tuple[np.ndarray, float]] = {}
+        self.rows: Dict[Tuple[str, ...], tuple] = {}
+
+    def distinct(self, columns) -> Tuple[Tuple[str, ...], np.ndarray, np.ndarray, np.ndarray]:
+        """(names, rows, inverse, counts) over ``columns``, in data order."""
+        every = self.data.names
+        names = tuple(name for name in every if name in columns)
+        found = self.rows.get(names)
+        if found is None:
+            if names == every:
+                rows, inverse, counts = self.data._distinct_rows
+            else:
+                table = self.data.rows[:, [every.index(name) for name in names]]
+                rows, inverse, counts = np.unique(
+                    table, axis=0, return_inverse=True, return_counts=True
+                )
+                inverse, counts = inverse.reshape(-1), counts.astype(float)
+            found = self.rows[names] = (names, rows, inverse, counts)
+        return found
+
+    def family(self, node: str, parents: Tuple[str, ...],
+               prior: FamilyPrior) -> Tuple[np.ndarray, float]:
+        """A latent-free family's posterior table and its closed-form score
+        (Heckerman, Geiger & Chickering 1995)."""
+        key = (prior.alpha, node, parents)
+        found = self.families.get(key)
+        if found is None:
+            names, rows, _inverse, counts = self.distinct(self.data.names)
+            columns = {name: rows[:, i] for i, name in enumerate(names)}
+            family = _Family(node, parents, dict(self.data.variables), columns, counts,
+                             {}, prior)
+            table = family.static_posterior
+            found = self.families[key] = (table, _log_beta(table) - _log_beta(family.prior))
+        return found
+
+    def component(self, component: _Component, prior: FamilyPrior, c: float,
+                  restarts: int, seed: int, max_iterations: int,
+                  deadline: Optional[float]) -> Tuple[_Fitted, np.ndarray]:
+        """The component's fit and each observation's bound row. Restarts
+        draw from a seed derived from the component's key."""
+        key = (prior.alpha, c, restarts, seed, max_iterations, component.key)
+        found = self.components.get(key)
+        if found is None:
+            names, rows, inverse, counts = self.distinct(component.columns)
+            binding = component.bind(self.data, names, rows, counts, prior)
+            draw = _draw(binding, inverse, counts,
+                         derive_seed(seed, "component", component.key), restarts)
+            found = (_run_batch(binding, draw, c, max_iterations, deadline), inverse)
+            if not found[0].cut:
+                self.components[key] = found
+        return found
 
 
 # -- public operations -------------------------------------------------------
@@ -694,109 +1014,73 @@ def run_vbem(
     seed: int = 0,
     max_iterations: int = DEFAULT_ITERATION_CAP,
     deadline: Optional[float] = None,
+    memo: Optional[FitMemo] = None,
 ) -> Tuple[VariationalState, ScoreReport]:
-    """Fit the surrogate posterior, keeping the best of seeded restarts.
+    """Fit the surrogate posterior: latent-free families in closed form,
+    each component by the best of seeded restarts.
 
-    Each restart draws row responsibilities from a flat Dirichlet and
-    averages them within each group of identical rows. All restarts then
-    advance as one batch, alternating E and M steps over the distinct
-    rows. A restart leaves the batch, its state frozen, once a pass after
-    the first improves its bound by less than ``c`` or after
-    ``max_iterations`` passes. The best final bound wins; ties go to the
-    earliest restart, so results are reproducible bit for bit. Each
-    restart follows the path it would follow alone.
+    A component's restarts draw from a seed derived from ``seed`` and the
+    component's key, so a component fits the same in every model that
+    holds it. Each restart draws its responsibilities per observation from
+    a flat Dirichlet and averages them within each distinct row of the
+    component's columns. All restarts then advance as one batch over those
+    rows, and each follows the path it would follow alone (see
+    ``_run_batch``); results are reproducible bit for bit.
+
+    ``memo`` carries latent-free scores, component fits and distinct rows
+    from earlier calls on the same dataset; without one, nothing is shared.
 
     ``deadline`` is a ``time.monotonic()`` instant, checked before every
-    batched pass. Once it has passed, every running restart stops and the
-    restart with the best current bound is returned, reported as not
-    converged. ``restarts_used`` counts the restarts run, which with one
-    batch is all of them.
+    batched pass of every component. Once it has passed, each component
+    left keeps the restart with the best current bound, and the model is
+    reported as not converged.
     """
     if not (c > 0):
         raise ValueError("convergence threshold must be positive")
     if restarts < 1 or max_iterations < 1:
         raise ValueError("restarts and max_iterations must be at least 1")
-    rows, inverse, counts = data._distinct_rows
-    binding = _Binding(model, data, prior or FamilyPrior(), rows, counts)
+    _check_columns(model, data)
+    prior = prior or FamilyPrior()
+    if memo is None:
+        memo = FitMemo(data)
+    elif memo.data is not data:
+        raise ValueError("the memo belongs to another dataset")
 
-    if not binding.latent_names:
-        value = binding.constant
-        state = VariationalState(binding.full_q_theta({}), {}, (value,))
-        report = ScoreReport(
-            elbo=value,
-            p_elbo=p_elbo(value, model.spec),
-            iterations=1,
-            converged=True,
-            restarts_used=1,
-        )
-        return state, report
-
-    # each restart draws its latents in canonical order from its own stream
-    rngs = [np.random.default_rng(derive_seed(seed, "restart", r)) for r in range(restarts)]
-    q_latent = {
-        name: np.stack([
-            _group_means(
-                rng.dirichlet(np.ones(binding.latent_cards[name]), size=data.n_rows),
-                inverse,
-                counts,
-            ).T
-            for rng in rngs
-        ])
-        for name in binding.latent_names
-    }
-    buffer = binding.m_step(q_latent)
-    bounds = binding.bound(buffer, q_latent)
-    traces = [[value] for value in bounds.tolist()]
-    running = list(range(restarts))  # the restart at each batch position
-    # restart -> (pass buffer row, responsibilities, converged)
-    frozen: Dict[int, Tuple[np.ndarray, dict, bool]] = {}
-
-    def freeze(positions, converged):
-        for i in positions:
-            frozen[running[i]] = (
-                buffer[i], {name: q[i] for name, q in q_latent.items()}, converged,
-            )
-
-    cut = False
-    for iteration in range(max_iterations):
-        if deadline is not None and time.monotonic() >= deadline:
-            cut = True
-            break
-        q_latent = binding.e_step(buffer, q_latent)
-        buffer = binding.m_step(q_latent)
-        previous, bounds = bounds, binding.bound(buffer, q_latent)
-        for restart, value in zip(running, bounds.tolist()):
-            traces[restart].append(value)
-        # the first pass starts from the averaged draw, whose bound sits
-        # above the draw's own, so its small gain does not mean converged
-        if not iteration:
-            continue
-        done = np.abs(bounds - previous) < c
-        if done.any():
-            freeze(np.flatnonzero(done), True)
-            keep = np.flatnonzero(~done)
-            running = [running[i] for i in keep]
-            if not running:
-                break
-            buffer = buffer[keep]
-            q_latent = {name: q[keep] for name, q in q_latent.items()}
-            bounds = bounds[keep]
-    freeze(range(len(running)), False)
-
-    finals = [trace[-1] for trace in traces]
-    winner = finals.index(max(finals))
-    row, responsibilities, converged = frozen[winner]
+    free, components = _split(model, dict(data.variables))
+    q_theta: Dict[str, np.ndarray] = {}
+    constant = 0.0
+    for node in free:
+        table, score = memo.family(node, model.dag.parents(node), prior)
+        q_theta[node] = table.copy()
+        constant += score
+    q_latent: Dict[str, np.ndarray] = {}
+    fits = [
+        memo.component(component, prior, c, restarts, seed, max_iterations, deadline)
+        for component in components
+    ]
+    trace = np.full(max([len(fit.trace) for fit, _inverse in fits], default=1), constant)
+    for component, (fit, inverse) in zip(components, fits):
+        for node, table in fit.tables.items():
+            if isinstance(node, str):
+                q_theta[node] = component.model_table(node, table)
+            else:
+                q_theta[component.latents[node]] = table.copy()
+        for position, q in fit.q_latent.items():
+            q_latent[component.latents[position]] = q.T[inverse]
+        # a component that stopped early holds its final bound
+        trace[:len(fit.trace)] += fit.trace
+        trace[len(fit.trace):] += fit.trace[-1]
     state = VariationalState(
-        binding.full_q_theta(binding.tables(row)),
-        {name: q.T[inverse] for name, q in responsibilities.items()},
-        tuple(traces[winner]),
+        {node: q_theta[node] for node in sorted(model.dag.nodes)},
+        {name: q_latent[name] for name in sorted(q_latent)},
+        tuple(trace.tolist()),
     )
     value = state.elbo_trace[-1]
     report = ScoreReport(
         elbo=value,
         p_elbo=p_elbo(value, model.spec),
         iterations=len(state.elbo_trace),
-        converged=converged and not cut,
-        restarts_used=restarts,
+        converged=all(fit.converged for fit, _inverse in fits),
+        restarts_used=restarts if components else 1,
     )
     return state, report

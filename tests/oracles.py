@@ -9,10 +9,12 @@ candidates are ordered by the full move key, Markov equivalence and marginal
 MAGs by comparing or reading full CI signatures, maximal augmentations by
 adding a bi-directed edge per inducing path, equivalence classes and
 PAGs by trying every orientation, latent groupings by building every
-partition before sorting, and the reference VBEM fit keeps one
-responsibility vector per row, the sequential fit runs each restart
-alone, and the per-family fit keeps one array and one ``bincount`` per
-family (the bits the flat pass must reproduce). Only usable on small
+partition before sorting. For VBEM, the whole-model fit runs every
+latent in one batch over all columns (the reference for ``run_vbem``'s
+split into components), the row-level fit keeps one responsibility
+vector per row, the sequential fit runs each restart alone, and the
+per-family fit keeps one array and one ``bincount`` per family (the bits
+the flat pass must reproduce). Only usable on small
 inputs, which is exactly what the tests feed it.
 """
 from __future__ import annotations
@@ -511,14 +513,29 @@ def random_observed_dag(rng: random.Random, names) -> list:
     ]
 
 
-def random_latentized_instance(rng: random.Random, max_latents: int = 2):
+def random_latentized_instance(rng: random.Random, max_latents: int = 2, components: int = 1):
     """Small random model with 0 to ``max_latents`` latents plus uniform
-    random data."""
-    names = tuple("ABCDE"[: rng.randint(3, 5)])
+    random data.
+
+    With ``components`` above 1 the model holds at least that many latent
+    components: it has 5-7 observed nodes dealt into that many disjoint
+    blocks, and ``components`` to ``max_latents`` latents, latent i taking
+    its children from block i modulo ``components``.
+    """
+    if components > 1:
+        names = tuple("ABCDEFG"[: rng.randint(max(5, 2 * components), 7)])
+    else:
+        names = tuple("ABCDE"[: rng.randint(3, 5)])
     edges = random_observed_dag(rng, names)
+    if components > 1:
+        shuffled = rng.sample(names, len(names))
+        blocks = [shuffled[i::components] for i in range(components)]
+        draws = [blocks[k % components] for k in range(rng.randint(components, max_latents))]
+    else:
+        draws = [names] * rng.randint(0, max_latents)
     latents = []
-    for k in range(rng.randint(0, max_latents)):
-        kids = tuple(rng.sample(names, rng.randint(2, min(3, len(names)))))
+    for k, pool in enumerate(draws):
+        kids = tuple(rng.sample(pool, rng.randint(2, min(3, len(pool)))))
         latent = Latent(f"_L{k + 1}", kids, rng.randint(2, 3))
         latents.append(latent)
         edges.extend(Edge.directed(latent.name, c) for c in latent.children)
@@ -550,7 +567,7 @@ def reference_vbem(
 
     Built only from the public ``vb_m_step``, ``vb_e_step`` and ``elbo``,
     with the seed derivation, initial draw and stopping rule of
-    ``run_vbem``, which keeps the first restart with the highest final
+    ``whole_vbem``, which keeps the first restart with the highest final
     bound.
     """
     names = sorted(model.spec.names)
@@ -574,7 +591,7 @@ def reference_vbem(
 
 
 def _initial_draw(binding, data: Dataset, seed: int, restart: int) -> dict:
-    """``run_vbem``'s initial responsibilities for one restart, as a batch
+    """``whole_vbem``'s initial responsibilities for one restart, as a batch
     of one: a flat Dirichlet draw per row, averaged over identical rows."""
     _rows, inverse, counts = data._distinct_rows
     rng = np.random.default_rng(derive_seed(seed, "restart", restart))
@@ -588,9 +605,46 @@ def _initial_draw(binding, data: Dataset, seed: int, restart: int) -> dict:
     }
 
 
-def _distinct_binding(model: LatentizedDag, data: Dataset):
+def _distinct_binding(model: LatentizedDag, data: Dataset, prior=None):
     rows, _inverse, counts = data._distinct_rows
-    return vbem._Binding(model, data, FamilyPrior(), rows, counts)
+    return vbem._bind_model(model, data, prior or FamilyPrior(), rows, counts)
+
+
+def whole_vbem(
+    model: LatentizedDag,
+    data: Dataset,
+    prior=None,
+    c: float = DEFAULT_CONVERGENCE,
+    restarts: int = DEFAULT_RESTARTS,
+    seed: int = 0,
+    max_iterations: int = DEFAULT_ITERATION_CAP,
+    deadline: Optional[float] = None,
+) -> Tuple[VariationalState, ScoreReport]:
+    """The whole-model flat fit: every latent in one batch of restarts over
+    the distinct rows of all columns, seeded by ``seed`` itself.
+
+    ``run_vbem`` fits the same bound split into its components, each over
+    the distinct rows of its own columns; this is the reference the split
+    is checked against. It runs ``vbem``'s own batch (``_draw`` and
+    ``_run_batch``) on a binding of the whole model.
+    """
+    binding = _distinct_binding(model, data, prior)
+    _rows, inverse, counts = data._distinct_rows
+    if not binding.latent_names:
+        value = binding.constant
+        state = VariationalState(binding.full_q_theta({}), {}, (value,))
+        return state, ScoreReport(value, vbem.p_elbo(value, model.spec), 1, True, 1)
+    draw = vbem._draw(binding, inverse, counts, seed, restarts)
+    fit = vbem._run_batch(binding, draw, c, max_iterations, deadline)
+    state = VariationalState(
+        binding.full_q_theta(fit.tables),
+        {name: q.T[inverse] for name, q in fit.q_latent.items()},
+        fit.trace,
+    )
+    value = state.elbo_trace[-1]
+    report = ScoreReport(value, vbem.p_elbo(value, model.spec), len(state.elbo_trace),
+                         fit.converged, restarts)
+    return state, report
 
 
 def sequential_vbem(
@@ -601,7 +655,7 @@ def sequential_vbem(
     seed: int = 0,
     max_iterations: int = DEFAULT_ITERATION_CAP,
 ) -> List[Tuple[VariationalState, bool]]:
-    """Every restart of ``run_vbem`` run alone, one after another.
+    """Every restart of ``whole_vbem`` run alone, one after another.
 
     Each restart is a batch of one through the fit's own pass (the
     binding's ``m_step``, ``bound`` and ``e_step``), from the same initial
@@ -761,7 +815,7 @@ def per_family_vbem(
     seed: int = 0,
     max_iterations: int = DEFAULT_ITERATION_CAP,
 ) -> Tuple[VariationalState, ScoreReport]:
-    """``run_vbem`` (without a deadline) on the per-family steps: every
+    """``whole_vbem`` (without a deadline) on the per-family steps: every
     restart advances in one batch and leaves it, state frozen, once its own
     stopping rule fires; the first restart with the best final bound wins."""
     binding = _distinct_binding(model, data)

@@ -13,12 +13,14 @@ from confinder.errors import ConstructionError, InconsistentStateError
 from confinder.graphs import Edge, GraphKind, MixedGraph
 from confinder.latentize import latentize_min
 from confinder.magspace import enumerate_mags, orientation_neighbors, pag_of_mag, reference_mag
+from confinder import vbem
 from confinder.search import (
     ScoredModel,
     SearchConfig,
     SearchTrace,
     Strategy,
     TraceEntry,
+    _Session,
     _candidates,
     _with_carried,
     model_id,
@@ -86,13 +88,15 @@ def circle_pag():
 
 
 def fitted(model, data, cfg):
+    """The model scored stand-alone as the search scores it: one seed for
+    every fit, each component's restarts seeded from its own key."""
     mid = model_id(model)
     state, report = run_vbem(
         model,
         data,
         c=cfg.convergence,
         restarts=cfg.restarts,
-        seed=derive_seed(cfg.seed, "vbem", mid),
+        seed=derive_seed(cfg.seed, "vbem"),
     )
     stratum = model.source_mag.bidirected_count if model.source_mag else 0
     return ScoredModel(model, state, report, stratum, mid)
@@ -201,8 +205,8 @@ class TestDegenerateSearch:
 class TestChoiceConsistency:
     def test_winner_matches_independent_scoring(self):
         # all three orientations of A o-o B are scored stand-alone with the
-        # same per-model seeds the search uses; the search must pick the
-        # argmax and report the identical number
+        # seed the search uses; the search must pick the argmax and report
+        # the identical number
         data = pair_confounder_data(1000, 7)
         cfg = SearchConfig()
         candidates = [
@@ -475,18 +479,35 @@ class TestAnytime:
         assert cut_ids == full_ids[: len(cut_ids)]
         assert cut_best.p_elbo <= full_best.p_elbo + 1e-9
 
-    @pytest.mark.parametrize("strategy", ["ilcv", "hclcv"])
-    def test_budget_cuts_a_running_fit_short(self, strategy):
+    @pytest.mark.parametrize(
+        "strategy, components",
+        [
+            pytest.param(strategy, components, id=strategy + suffix)
+            for components, suffix in ((1, ""), (2, "-two-components"))
+            for strategy in ("ilcv", "hclcv")
+        ],
+    )
+    def test_budget_cuts_a_running_fit_short(self, strategy, components):
         # 50 restarts over 4 096 distinct rows of 64 x 64 states: one uncut
         # fit of the single latent takes about 25 s on a 2-core 2.1 GHz
-        # machine, so only the deadline inside the fit can end it in time
+        # machine, so only the deadline inside the fit can end it in time.
+        # With two components the small one, A <-> B over 4 distinct rows,
+        # is fitted first and converges; the deadline falls inside C <-> D.
         rng = np.random.default_rng(0)
         n, k = 100000, 64
         u = rng.integers(0, 2, n)
         a = (7 * u + rng.integers(0, k, n)) % k
         b = (5 * u + rng.integers(0, k, n)) % k
-        data = Dataset((("A", k), ("B", k)), np.column_stack([a, b]))
-        pag = MixedGraph(GraphKind.PAG, ("A", "B"), (Edge.bidirected("A", "B"),))
+        if components == 1:
+            data = Dataset((("A", k), ("B", k)), np.column_stack([a, b]))
+            pag = MixedGraph(GraphKind.PAG, ("A", "B"), (Edge.bidirected("A", "B"),))
+        else:
+            v = rng.integers(0, 2, n)
+            small = [np.where(rng.random(n) < 0.1, 1 - v, v) for _ in "AB"]
+            data = Dataset((("A", 2), ("B", 2), ("C", k), ("D", k)),
+                           np.column_stack(small + [a, b]))
+            pag = MixedGraph(GraphKind.PAG, tuple("ABCD"),
+                             (Edge.bidirected("A", "B"), Edge.bidirected("C", "D")))
         budget = 1.0
         cfg = SearchConfig(strategy=strategy, restarts=50, budget_seconds=budget)
         started = time.monotonic()
@@ -495,8 +516,81 @@ class TestAnytime:
         assert took <= budget + 1.0
         assert trace.stop_reason == "budget"
         assert len(trace.entries) == 1
+        assert len(best.model.spec) == components
         assert not best.report.converged
         assert best.report.iterations <= DEFAULT_ITERATION_CAP
+        if components == 2:
+            # the first component ran to the end: alone, it fits the same
+            pair = MixedGraph(GraphKind.MAG, ("A", "B"), (Edge.bidirected("A", "B"),))
+            sub = Dataset((("A", 2), ("B", 2)), data.rows[:, :2])
+            alone = fitted(latentize_min(pair), sub, cfg)
+            assert alone.report.converged
+            for node in ("A", "B", "_L1"):
+                assert np.array_equal(best.state.q_theta[node], alone.state.q_theta[node])
+
+
+def shared_component_instance():
+    """B <-> C is invariant and A o-o D is free, so the class holds A --> D,
+    D --> A and A <-> D: every member's model has the latent over B and C,
+    with the same families. B and C share a hidden cause; 300 rows."""
+    pag = MixedGraph(
+        GraphKind.PAG,
+        tuple("ABCD"),
+        (Edge.circle_circle("A", "D"), Edge.bidirected("B", "C")),
+    )
+    rng = np.random.default_rng(3)
+    n = 300
+    u = rng.integers(0, 2, n)
+    a = rng.integers(0, 2, n)
+    d = np.where(rng.random(n) < 0.2, 1 - a, a)
+    b = np.where(rng.random(n) < 0.15, 1 - u, u)
+    c = np.where(rng.random(n) < 0.15, 1 - u, u)
+    data = Dataset(tuple((name, 2) for name in "ABCD"), np.column_stack([a, b, c, d]))
+    return pag, data
+
+
+class TestComponentMemo:
+    def test_a_shared_component_is_fitted_once(self, monkeypatch):
+        fitted_keys, uses = [], []
+        bind, component = vbem._Component.bind, vbem.FitMemo.component
+
+        def counted_bind(self, *args):
+            fitted_keys.append(self.key)
+            return bind(self, *args)
+
+        def counted_use(self, part, *args):
+            uses.append(part.key)
+            return component(self, part, *args)
+
+        monkeypatch.setattr(vbem._Component, "bind", counted_bind)
+        monkeypatch.setattr(vbem.FitMemo, "component", counted_use)
+        pag, data = shared_component_instance()
+        _best, trace = run_search(pag, data, SearchConfig())
+        shared = ((("B", "C"), 2),)
+        assert [key[0] for key in fitted_keys].count(shared) == 1
+        assert [key[0] for key in uses].count(shared) >= 3
+        assert len(fitted_keys) == len(set(fitted_keys))
+        assert len(trace.entries) >= 3
+
+    def test_a_model_scores_the_same_whatever_was_scored_before(self):
+        pag, data = shared_component_instance()
+        models = [latentize_min(mag) for stratum in enumerate_mags(pag) for mag in stratum.mags]
+        models += [models[-1].with_states({"_L2": 3})]
+        cfg = SearchConfig()
+        forward, backward = _Session(data, cfg), _Session(data, cfg)
+        warm = [forward.score(model) for model in models]
+        warm_backward = [backward.score(model) for model in reversed(models)][::-1]
+        for model, first, last in zip(models, warm, warm_backward):
+            cold = _Session(data, cfg).score(model)
+            for scored in (first, last):
+                assert scored.report == cold.report
+                assert scored.state.elbo_trace == cold.state.elbo_trace
+                for node, table in cold.state.q_theta.items():
+                    assert np.array_equal(scored.state.q_theta[node], table)
+                for name, q in cold.state.q_latent.items():
+                    assert np.array_equal(scored.state.q_latent[name], q)
+        # the stratum-1 members share every fitted part with the others
+        assert len(forward.memo.components) < sum(len(m.spec) for m in models)
 
 
 class TestDeterminism:
@@ -528,27 +622,29 @@ class TestDeterminism:
 
 
 class TestPinnedResults:
-    """Search results recorded before the VBEM families moved to one cell
-    table, so a refactor that should not change results is checked by the
-    suite. The stratum-2 models have a child with two latent parents."""
+    """Search results recorded when fits were split into components, so a
+    refactor that should not change results is checked by the suite. The
+    visits and the winner are those recorded before the VBEM families moved
+    to one cell table. The stratum-2 models have a child with two latent
+    parents."""
 
     VISITS = {
         "ilcv": (
             "stratum-no-improvement",
             [
-                (1, "292c43c5be", -2616.860098063772),
-                (2, "88fe42fad2", -2627.1720315137263),
-                (2, "4c954b4596", -2627.0014139382242),
-                (1, "9cae62db7b", -2623.706513278684),
+                (1, "292c43c5be", -2616.851857882849),
+                (2, "88fe42fad2", -2627.174145348194),
+                (2, "4c954b4596", -2627.0029575904778),
+                (1, "9cae62db7b", -2623.7061616470164),
             ],
         ),
         "hclcv": (
             "local-maximum",
             [
-                (1, "292c43c5be", -2616.860098063772),
-                (2, "4c954b4596", -2627.0014139382242),
-                (2, "88fe42fad2", -2627.1720315137263),
-                (1, "9cae62db7b", -2623.706513278684),
+                (1, "292c43c5be", -2616.851857882849),
+                (2, "4c954b4596", -2627.0029575904778),
+                (2, "88fe42fad2", -2627.174145348194),
+                (1, "9cae62db7b", -2623.7061616470164),
             ],
         ),
     }

@@ -12,7 +12,7 @@ from scipy.special import digamma
 from confinder.errors import DataBindingError, InconsistentStateError
 from confinder.graphs import Edge, GraphKind, MixedGraph
 from confinder import vbem
-from confinder.latentize import Latent, LatentSpec, latentize_min
+from confinder.latentize import Latent, LatentSpec, LatentizedDag, latentize_min
 from confinder.vbem import (
     Dataset,
     ScoreReport,
@@ -36,6 +36,7 @@ from oracles import (
     reference_vbem,
     sequential_vbem,
     three_latent_parent_instance,
+    whole_vbem,
 )
 
 
@@ -384,6 +385,11 @@ def test_deadline_cuts_the_fit_short():
     # initial bound wins; the returned state gives it
     assert (report.iterations, report.restarts_used) == (1, 5)
     assert not report.converged
+    assert elbo(model, data, state) == pytest.approx(report.elbo, abs=1e-9)
+    # the batch behind it, on the whole model, against its restarts alone
+    state, report = whole_vbem(model, data, seed=7, deadline=time.monotonic() - 1)
+    assert (report.iterations, report.restarts_used) == (1, 5)
+    assert not report.converged
     initial = [fit.elbo_trace[0] for fit, _converged in sequential_vbem(model, data, seed=7)]
     assert report.elbo == max(initial)
     assert elbo(model, data, state) == pytest.approx(report.elbo, abs=1e-9)
@@ -397,7 +403,7 @@ def test_batched_restarts_match_restarts_run_alone(seed):
     # different passes, so the batch loses restarts while others run on
     model, data = random_latentized_instance(random.Random(seed), max_latents=3)
     assume(model.spec.latents)
-    state, report = run_vbem(model, data, c=1e-4, restarts=3, seed=seed)
+    state, report = whole_vbem(model, data, c=1e-4, restarts=3, seed=seed)
     fits = sequential_vbem(model, data, c=1e-4, restarts=3, seed=seed)
     finals = [fit.elbo_trace[-1] for fit, _converged in fits]
     winner, converged = fits[finals.index(max(finals))]
@@ -412,7 +418,7 @@ def test_batched_restarts_match_restarts_run_alone(seed):
 
 
 def assert_bit_identical_to_per_family_fit(model, data, **knobs):
-    state, report = run_vbem(model, data, **knobs)
+    state, report = whole_vbem(model, data, **knobs)
     expected_state, expected = per_family_vbem(model, data, **knobs)
     assert report == expected
     assert state.elbo_trace == expected_state.elbo_trace
@@ -434,7 +440,7 @@ def assert_bit_identical_to_per_family_fit(model, data, **knobs):
 def test_fit_is_bit_identical_to_the_per_family_steps(instance, seed):
     model, data = instance(random.Random(seed))
     rows, _inverse, counts = data._distinct_rows
-    binding = vbem._Binding(model, data, vbem.FamilyPrior(), rows, counts)
+    binding = vbem._bind_model(model, data, vbem.FamilyPrior(), rows, counts)
     assert binding.constant == per_family_constant(binding)
     assert_bit_identical_to_per_family_fit(model, data, c=1e-4, restarts=3, seed=seed)
 
@@ -472,7 +478,7 @@ def test_a_pass_calls_digamma_and_gammaln_once_each(instance, monkeypatch):
 
     for name in ("digamma", "gammaln"):
         monkeypatch.setattr(vbem, name, counted(name))
-    run_vbem(model, data, restarts=3, seed=1)
+    whole_vbem(model, data, restarts=3, seed=1)
     # gammaln also runs once for the initial bound and once for the
     # binding's constant terms
     assert calls == {"digamma": passes, "gammaln": passes + 2}
@@ -508,7 +514,7 @@ def test_distinct_row_fit_matches_the_row_level_reference():
             rows = [rng.choice(patterns) for _ in range(60)]
             data = Dataset([(n, cards[n]) for n in names], rows)
 
-            state, report = run_vbem(model, data, restarts=3, seed=seed)
+            state, report = whole_vbem(model, data, restarts=3, seed=seed)
             fits = reference_vbem(model, data, restarts=3, seed=seed)
             finals = [fit.elbo_trace[-1] for fit in fits]
             winner = fits[finals.index(max(finals))]
@@ -538,6 +544,73 @@ def test_fitted_state_reproduces_the_reported_bound():
         assert elbo(model, data, state) == pytest.approx(report.elbo, rel=0.0, abs=1e-8)
         with_two += len(model.spec) == 2
     assert with_two > 10
+
+
+# -- the composed fit ----------------------------------------------------------------
+
+def composed_bound(model, data, q_latent):
+    """The bound split as ``run_vbem`` splits it, at per-observation
+    responsibilities: the latent-free families' closed-form scores plus
+    each component's bound with every row bound once."""
+    prior = vbem.FamilyPrior()
+    memo = vbem.FitMemo(data)
+    free, components = vbem._split(model, dict(data.variables))
+    total = sum(memo.family(node, model.dag.parents(node), prior)[1] for node in free)
+    for component in components:
+        names = tuple(n for n in data.names if n in component.columns)
+        rows = data.rows[:, [data.names.index(n) for n in names]]
+        binding = component.bind(data, names, rows, np.ones(data.n_rows), prior)
+        batch = {i: q_latent[name].T[None] for i, name in enumerate(component.latents)}
+        total += float(binding.bound(binding.m_step(batch), batch)[0])
+    return total
+
+
+@given(st.integers(0, 10**6))
+@settings(max_examples=40, deadline=None)
+def test_composed_bound_equals_the_whole_bound(seed):
+    # the mean-field bound factorises over components: at the whole fit's
+    # own responsibilities, the parts add up to the whole model's bound
+    model, data = random_latentized_instance(random.Random(seed), max_latents=4, components=2)
+    assert len(vbem._split(model, dict(data.variables))[1]) >= 2
+    state, report = whole_vbem(model, data, c=1e-4, restarts=2, seed=seed)
+    assert composed_bound(model, data, state.q_latent) == pytest.approx(
+        report.elbo, rel=0.0, abs=1e-9
+    )
+    state, report = run_vbem(model, data, c=1e-4, restarts=2, seed=seed)
+    assert composed_bound(model, data, state.q_latent) == pytest.approx(
+        report.elbo, rel=0.0, abs=1e-9
+    )
+
+
+def relabeled(model, names):
+    """The model with each latent ``l`` renamed ``names[l]``."""
+    latents = tuple(Latent(names[l.name], l.children, l.states) for l in model.spec.latents)
+    edges = tuple(Edge.directed(names.get(t, t), h) for t, h in model.dag.directed_edges())
+    dag = MixedGraph(GraphKind.DAG, model.observed + tuple(l.name for l in latents), edges)
+    return LatentizedDag(dag, LatentSpec(latents))
+
+
+@given(st.integers(0, 10**6))
+@settings(max_examples=30, deadline=None)
+def test_fits_do_not_depend_on_latent_labels(seed):
+    # rotating the names reorders latent parents within families, the
+    # sweep and the draw; the components' canonical form undoes all three
+    model, data = random_latentized_instance(random.Random(seed), max_latents=3)
+    names = list(model.spec.names)
+    assume(len(names) >= 2)
+    assume(len({(l.children, l.states) for l in model.spec.latents}) == len(names))
+    rotated = dict(zip(names, names[1:] + names[:1]))
+    other = relabeled(model, rotated)
+    state, report = run_vbem(model, data, c=1e-4, restarts=2, seed=seed)
+    other_state, other_report = run_vbem(other, data, c=1e-4, restarts=2, seed=seed)
+    assert other_report == report
+    assert other_state.elbo_trace == state.elbo_trace
+    for old, new in rotated.items():
+        assert np.array_equal(other_state.q_latent[new], state.q_latent[old])
+        assert np.array_equal(other_state.q_theta[new], state.q_theta[old])
+    # observed tables follow each model's own parent order: the bound at
+    # the relabeled state checks they are its VB-M update
+    assert elbo(other, data, other_state) == pytest.approx(other_report.elbo, abs=1e-8)
 
 
 def test_state_invariants_are_enforced():
