@@ -2,6 +2,7 @@
 
 from confinder.bn import BnModel, forward_sample, parent_configurations
 from confinder.errors import (
+    BudgetError,
     ConfinderError,
     ConstructionError,
     DataBindingError,

@@ -8,7 +8,8 @@ stratum), ``latentize`` (minimal latent placement for a MAG) and ``trace``
 
 Exit codes: 0 on success, 2 for validation problems (unreadable or
 malformed inputs, invalid graphs, bad flag values), 3 when a search
-returned early on budget (outputs are still written and flagged), 4 for
+returned early on budget (outputs are still written and flagged) or ran
+out of budget before it found a model to score (nothing is written), 4 for
 internal errors. All randomness derives from ``--seed`` through named
 streams, so each subcommand is reproducible in isolation.
 """
@@ -23,6 +24,7 @@ from typing import Dict, Optional
 from confinder import fileio
 from confinder.bn import forward_sample
 from confinder.errors import (
+    BudgetError,
     ConfinderError,
     ConstructionError,
     DataBindingError,
@@ -315,6 +317,9 @@ def main(argv=None) -> int:
     except InconsistentStateError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
+    except BudgetError as exc:
+        print(f"budget: {exc}; no model was scored, so nothing is written", file=sys.stderr)
+        return EXIT_BUDGET
     except (
         GraphFormatError,
         DataBindingError,

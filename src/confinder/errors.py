@@ -19,6 +19,13 @@ class ConstructionError(ConfinderError, ValueError):
     """No valid completion of a PAG exists; names the blocking edge."""
 
 
+class BudgetError(ConfinderError):
+    """The search budget ran out before a model within the caps was found.
+
+    Not a ValueError: the input can be valid, and a larger budget may find
+    the model the cut run did not reach."""
+
+
 class InconsistentStateError(ConfinderError, ValueError):
     """An internal invariant failed: a program fault, not bad input.
 

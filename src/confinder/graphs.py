@@ -14,7 +14,10 @@ reachable as one bit per subset of the signature's scope.
 
 Graphs are immutable after construction and safe to share across workers;
 node identifiers are case-sensitive strings and all derived orderings are
-canonical (sorted by name) so that results are reproducible.
+canonical (sorted by name) so that results are reproducible. What a graph
+derives from itself, its adjacency index, validity report, maximal
+augmentation and Markov-equivalence invariants, is a cached property of the
+graph, computed on first use and kept on the instance.
 """
 from __future__ import annotations
 
@@ -22,7 +25,7 @@ import itertools
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Dict, FrozenSet, Iterable, Optional, Tuple
 
 
@@ -153,7 +156,7 @@ class MixedGraph:
     # -- basic queries -----------------------------------------------------
 
     def edge_between(self, x: str, y: str) -> Optional[Edge]:
-        return _index(self).edge_map.get((x, y) if x < y else (y, x))
+        return self._idx.edge_map.get((x, y) if x < y else (y, x))
 
     def has_edge(self, x: str, y: str) -> bool:
         return self.edge_between(x, y) is not None
@@ -166,31 +169,31 @@ class MixedGraph:
         return edge.mark_at(x)
 
     def adjacent(self, x: str) -> Tuple[str, ...]:
-        return _index(self).adjacent[x]
+        return self._idx.adjacent[x]
 
     def parents(self, x: str) -> Tuple[str, ...]:
         """Nodes y with a directed edge y --> x."""
-        return _index(self).parents[x]
+        return self._idx.parents[x]
 
     def children(self, x: str) -> Tuple[str, ...]:
-        return _index(self).children[x]
+        return self._idx.children[x]
 
     def directed_edges(self) -> Tuple[Tuple[str, str], ...]:
         """(tail, head) pairs of the fully directed edges."""
-        return _index(self).directed
+        return self._idx.directed
 
     def bidirected_edges(self) -> Tuple[Tuple[str, str], ...]:
-        return _index(self).bidirected
+        return self._idx.bidirected
 
     @property
     def bidirected_count(self) -> int:
-        return len(_index(self).bidirected)
+        return len(self._idx.bidirected)
 
     # -- ancestry (directed edges only; <-> contributes no ancestry) -------
 
     def ancestors(self, nodes: Iterable[str], include_self: bool = True) -> FrozenSet[str]:
         seeds = {nodes} if isinstance(nodes, str) else set(nodes)
-        idx = _index(self)
+        idx = self._idx
         out = set(seeds)
         stack = list(seeds)
         while stack:
@@ -208,7 +211,7 @@ class MixedGraph:
 
     def topological_order(self) -> Tuple[str, ...]:
         """Canonical topological order over directed edges (ties by name)."""
-        idx = _index(self)
+        idx = self._idx
         indeg = {n: len(idx.parents[n]) for n in self.nodes}
         ready = sorted(n for n in self.nodes if indeg[n] == 0)
         order = []
@@ -240,6 +243,26 @@ class MixedGraph:
         edges = tuple(e if e.pair != edge.pair else e.with_mark_at(x, mark) for e in self.edges)
         return MixedGraph(self.kind, self.nodes, edges)
 
+    # -- derived facts, each computed once per instance ----------------------
+    # The first read stores the value in the instance ``__dict__``, which then
+    # shadows the descriptor, so every later read is a plain attribute lookup.
+
+    @cached_property
+    def _idx(self) -> _Index:
+        return _Index(self)
+
+    @cached_property
+    def _valid(self) -> ValidityReport:
+        return _check(self)
+
+    @cached_property
+    def _aug(self) -> MixedGraph:
+        return project_to_mag(self, self.nodes)
+
+    @cached_property
+    def _inv(self) -> _Invariants:
+        return _Invariants(self)
+
 
 class _Index:
     """Adjacency structures derived once per graph."""
@@ -270,16 +293,6 @@ class _Index:
         self.bidirected = tuple(sorted(bidirected))
 
 
-def _index(g: MixedGraph) -> _Index:
-    # kept on the instance: graphs are immutable, and hashing a graph to look
-    # its index up costs more than most of the queries the index serves
-    idx = g.__dict__.get("_idx")
-    if idx is None:
-        idx = _Index(g)
-        object.__setattr__(g, "_idx", idx)
-    return idx
-
-
 # ---------------------------------------------------------------------------
 # Validity
 # ---------------------------------------------------------------------------
@@ -300,7 +313,7 @@ class ValidityReport:
 
 def _directed_cycle(g: MixedGraph) -> Optional[Tuple[str, ...]]:
     """Return one directed cycle as a node tuple, or None."""
-    idx = _index(g)
+    idx = g._idx
     color = {n: 0 for n in g.nodes}  # 0 new, 1 active, 2 done
     trail: list = []
 
@@ -341,14 +354,10 @@ def validate(graph: MixedGraph) -> ValidityReport:
     Violations are reported as data; an empty report means the graph is a
     well-formed DAG/MAG/PAG. Undirected (tail-tail) edges are rejected for
     every kind since selection bias is out of scope, and so are tail-circle
-    marks, which only arise under selection. The report is kept on the
-    instance, like the adjacency index, so a graph is checked once.
+    marks, which only arise under selection. The report is a cached
+    property of the graph, so a graph is checked once.
     """
-    report = graph.__dict__.get("_valid")
-    if report is None:
-        report = _check(graph)
-        object.__setattr__(graph, "_valid", report)
-    return report
+    return graph._valid
 
 
 def _check(graph: MixedGraph) -> ValidityReport:
@@ -398,7 +407,7 @@ def _connected(graph: MixedGraph, x: str, y: str, z: FrozenSet[str]) -> bool:
     as a non-collider only if the node is outside z; this matches path
     blocking because an open walk exists iff an open path does.
     """
-    idx = _index(graph)
+    idx = graph._idx
     anz = graph.ancestors(z) if z else frozenset()
     queue = deque()
     seen = set()
@@ -587,14 +596,10 @@ def project_to_mag(graph: MixedGraph, observed: Iterable[str]) -> MixedGraph:
 
 
 def maximal_augmentation(mag: MixedGraph) -> MixedGraph:
-    """``project_to_mag(mag, mag.nodes)``, kept on the instance: enumeration
-    builds it to compare classes, and latentization compares candidates'
-    margins with it."""
-    augmented = mag.__dict__.get("_aug")
-    if augmented is None:
-        augmented = project_to_mag(mag, mag.nodes)
-        object.__setattr__(mag, "_aug", augmented)
-    return augmented
+    """``project_to_mag(mag, mag.nodes)``, a cached property of the graph:
+    enumeration builds it to compare classes and prune its walk, and
+    latentization compares candidates' margins with it."""
+    return mag._aug
 
 
 def is_collider(graph: MixedGraph, a: str, b: str, c: str) -> bool:
@@ -658,16 +663,6 @@ class _Invariants:
         self.paths = _discriminating_paths(augmented)
 
 
-def _invariants(mag: MixedGraph) -> _Invariants:
-    # kept on the instance like the adjacency index: enumeration compares
-    # every candidate with the same reference graph
-    inv = mag.__dict__.get("_inv")
-    if inv is None:
-        inv = _Invariants(mag)
-        object.__setattr__(mag, "_inv", inv)
-    return inv
-
-
 def markov_equivalent(mag_a: MixedGraph, mag_b: MixedGraph) -> bool:
     """True iff the two MAGs entail exactly the same separation statements.
 
@@ -682,8 +677,8 @@ def markov_equivalent(mag_a: MixedGraph, mag_b: MixedGraph) -> bool:
     require_valid(mag_b, GraphKind.MAG, "mag_b")
     if mag_a.nodes != mag_b.nodes:
         raise ValueError("markov_equivalent requires identical node sets")
-    a = _invariants(mag_a)
-    b = _invariants(mag_b)
+    a = mag_a._inv
+    b = mag_b._inv
     if a.skeleton != b.skeleton or a.colliders != b.colliders:
         return False
     return all(a.paths[p] == b.paths[p] for p in a.paths.keys() & b.paths.keys())

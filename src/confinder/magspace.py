@@ -26,7 +26,6 @@ from confinder.graphs import (
     Edge,
     Mark,
     MixedGraph,
-    has_inducing_path,
     is_collider,
     markov_equivalent,
     maximal_augmentation,
@@ -74,10 +73,11 @@ def _completions(
 
     Circle endpoints are resolved in canonical order, tail before arrowhead,
     so completions come in that lexicographic order. A prefix is cut as soon
-    as its fixed marks hold a tail-tail edge, a directed or almost-directed
-    cycle, or a collider on a triple of ``non_colliders``. Each check reads
-    fixed marks only and fixing more marks keeps a violation, so the cut
-    loses no completion, and every completion is a valid MAG. Raises
+    as its fixed marks put a collider on a triple of ``non_colliders``, or,
+    once they complete an edge, as soon as ``validate`` rejects the prefix
+    graph: a tail-tail edge, a directed or almost-directed cycle. Each check
+    reads fixed marks only and fixing more marks keeps a violation, so the
+    cut loses no completion, and every completion is a valid MAG. Raises
     ConstructionError, naming the deepest circle left unresolved, when no
     completion exists.
 
@@ -111,14 +111,10 @@ def _completions(
             # a circle is left at the other end, so the edge is neither
             # tail-tail nor directed nor bi-directed: it adds no violation
             return True
-        g = _complete(pag, marks, kind=GraphKind.PAG)
-        if any(e.mark_a is e.mark_b is Mark.TAIL for e in g.edges):
-            return False
-        try:
-            g.topological_order()
-        except ValueError:
-            return False
-        return not any(g.is_ancestor(a, b) or g.is_ancestor(b, a) for a, b in g.bidirected_edges())
+        # every edge is now resolved or keeps the valid PAG's own marks, so
+        # none is tail-circle, and a PAG's check is exactly the tail-tail,
+        # directed-cycle and almost-directed-cycle tests
+        return validate(_complete(pag, marks, kind=GraphKind.PAG)).ok
 
     def extend(i: int) -> Iterator[MixedGraph]:
         nonlocal deepest, cut
@@ -162,10 +158,10 @@ def enumerate_mags(pag: MixedGraph, deadline: Optional[float] = None) -> List[Ma
     """
     require_valid(pag, GraphKind.PAG, "pag")
     ref = reference_mag(pag)
-    # the augmentation joins x and y exactly when an inducing path does
+    augmented = maximal_augmentation(ref)
     non_colliders = tuple(
         t for t in unshielded_triples(ref)
-        if not is_collider(ref, *t) and not has_inducing_path(ref, t[0], t[2])
+        if not is_collider(ref, *t) and not augmented.has_edge(t[0], t[2])
     )
     by_count: Dict[int, List[MixedGraph]] = {}
     reached = False

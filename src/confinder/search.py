@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, List, Optional, Tuple
 
-from confinder.errors import ConstructionError, InconsistentStateError
+from confinder.errors import BudgetError, ConstructionError, InconsistentStateError
 from confinder.graphs import GraphKind, MixedGraph, require_valid
 from confinder.latentize import LatentizedDag, latentize_min
 from confinder.magspace import enumerate_mags, orientation_neighbors, reference_mag
@@ -273,14 +273,16 @@ def _ilcv(session: _Session, pag: MixedGraph) -> Tuple[ScoredModel, str]:
     stratum's best beats the incumbent, which it then returns for growth.
     The enumeration stops at the session deadline with the members found so
     far, the reference MAG among them, and a MAG latentized past it gets
-    the finest grouping, one latent per bi-directed edge.
+    the finest grouping, one latent per bi-directed edge. A walk cut before
+    it found a MAG within the cap has no model to return and raises
+    BudgetError.
     """
     cfg = session.cfg
     strata = enumerate_mags(pag, deadline=session.deadline)
     usable = [s for s in strata if s.bidirected_count <= cfg.max_bidirected]
     if not usable:
         if session.out_of_time():
-            raise ConstructionError(
+            raise BudgetError(
                 f"the budget ran out during enumeration before a MAG with at "
                 f"most {cfg.max_bidirected} bi-directed edges was found"
             )

@@ -155,17 +155,6 @@ class Dataset:
     def column(self, name: str) -> np.ndarray:
         return self._rows[:, self._col[name]]
 
-    @functools.cached_property
-    def _distinct_rows(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Distinct rows, each row's index among them, and their counts."""
-        rows, inverse, counts = np.unique(
-            self._rows, axis=0, return_inverse=True, return_counts=True
-        )
-        parts = (rows, inverse.reshape(-1), counts.astype(float))
-        for part in parts:
-            part.setflags(write=False)
-        return parts
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Dataset):
             return NotImplemented
@@ -887,14 +876,11 @@ class FitMemo:
         names = tuple(name for name in every if name in columns)
         found = self.rows.get(names)
         if found is None:
-            if names == every:
-                rows, inverse, counts = self.data._distinct_rows
-            else:
-                table = self.data.rows[:, [every.index(name) for name in names]]
-                rows, inverse, counts = np.unique(
-                    table, axis=0, return_inverse=True, return_counts=True
-                )
-                inverse, counts = inverse.reshape(-1), counts.astype(float)
+            table = self.data.rows[:, [every.index(name) for name in names]]
+            rows, inverse, counts = np.unique(
+                table, axis=0, return_inverse=True, return_counts=True
+            )
+            inverse, counts = inverse.reshape(-1), counts.astype(float)
             found = self.rows[names] = (names, rows, inverse, counts)
         return found
 

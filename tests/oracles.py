@@ -590,10 +590,19 @@ def reference_vbem(
     return fits
 
 
+def distinct_rows(data: Dataset) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct rows over every column, each observation's index among
+    them, and their counts: ``vbem.FitMemo.distinct`` of all columns."""
+    rows, inverse, counts = np.unique(
+        data.rows, axis=0, return_inverse=True, return_counts=True
+    )
+    return rows, inverse.reshape(-1), counts.astype(float)
+
+
 def _initial_draw(binding, data: Dataset, seed: int, restart: int) -> dict:
     """``whole_vbem``'s initial responsibilities for one restart, as a batch
     of one: a flat Dirichlet draw per row, averaged over identical rows."""
-    _rows, inverse, counts = data._distinct_rows
+    _rows, inverse, counts = distinct_rows(data)
     rng = np.random.default_rng(derive_seed(seed, "restart", restart))
     return {
         name: vbem._group_means(
@@ -606,7 +615,7 @@ def _initial_draw(binding, data: Dataset, seed: int, restart: int) -> dict:
 
 
 def _distinct_binding(model: LatentizedDag, data: Dataset, prior=None):
-    rows, _inverse, counts = data._distinct_rows
+    rows, _inverse, counts = distinct_rows(data)
     return vbem._bind_model(model, data, prior or FamilyPrior(), rows, counts)
 
 
@@ -629,7 +638,7 @@ def whole_vbem(
     ``_run_batch``) on a binding of the whole model.
     """
     binding = _distinct_binding(model, data, prior)
-    _rows, inverse, counts = data._distinct_rows
+    _rows, inverse, counts = distinct_rows(data)
     if not binding.latent_names:
         value = binding.constant
         state = VariationalState(binding.full_q_theta({}), {}, (value,))
@@ -819,7 +828,7 @@ def per_family_vbem(
     restart advances in one batch and leaves it, state frozen, once its own
     stopping rule fires; the first restart with the best final bound wins."""
     binding = _distinct_binding(model, data)
-    _rows, inverse, _counts = data._distinct_rows
+    _rows, inverse, _counts = distinct_rows(data)
     if not binding.latent_names:
         value = per_family_constant(binding)
         report = ScoreReport(value, vbem.p_elbo(value, model.spec), 1, True, 1)

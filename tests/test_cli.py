@@ -508,6 +508,33 @@ class TestExitCodes:
         assert code == EXIT_VALIDATION
         assert "reference MAG has 1 bi-directed" in capsys.readouterr().err
 
+    def test_walk_cut_before_an_in_cap_mag_is_budget(self, tmp_path, capsys):
+        # the reference MAG has both V0 <-> V2 and V1 <-> V2, and the walk
+        # meets it before the one-edge member V1 --> V0, V1 --> V2; a walk
+        # cut at once holds no MAG within the cap, so there is no model
+        (tmp_path / "three.pag").write_text(
+            "node V0 2\nnode V1 2\nnode V2 2\nV0 o-o V1\nV0 <-> V2\nV1 o-> V2\n"
+        )
+        rng = random.Random(0)
+        rows = [",".join(str(rng.randint(0, 1)) for _ in range(3)) for _ in range(100)]
+        (tmp_path / "data.csv").write_text("\n".join(["V0,V1,V2", *rows]) + "\n")
+        outputs = [tmp_path / name for name in ("report.txt", "best.model", "trace.csv")]
+
+        def learn(budget):
+            return main([
+                "learn", str(tmp_path / "three.pag"), str(tmp_path / "data.csv"),
+                "--max-bidirected", "1", "--budget-seconds", budget,
+                "-o", str(outputs[0]), "--model-out", str(outputs[1]),
+                "--trace-out", str(outputs[2]),
+            ])
+
+        assert learn("1e-9") == EXIT_BUDGET
+        assert "at most 1 bi-directed" in capsys.readouterr().err
+        assert not any(path.exists() for path in outputs)
+        assert learn("100") == EXIT_OK
+        assert all(path.exists() for path in outputs)
+        assert parse_report(outputs[0].read_text())["best_stratum"] == "1"
+
     def test_sample_size_validation(self, workdir, capsys):
         code = main(["sample", str(workdir / "truth.model"), "-n", "0"])
         assert code == EXIT_VALIDATION

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from confinder import graphs
 from confinder.graphs import (
     Edge,
     GraphKind,
@@ -12,6 +13,7 @@ from confinder.graphs import (
     ci_signature,
     has_inducing_path,
     markov_equivalent,
+    maximal_augmentation,
     project_to_mag,
     validate,
 )
@@ -384,6 +386,34 @@ def test_equivalence_requires_valid_mags():
     cyclic = mag("ABC", Edge.directed("A", "B"), Edge.directed("B", "C"), Edge.directed("C", "A"))
     with pytest.raises(ValueError, match="not valid"):
         markov_equivalent(cyclic, cyclic)
+
+
+def test_each_graph_fact_is_derived_once(monkeypatch):
+    # the index, validity report, maximal augmentation and equivalence
+    # invariants are cached properties of the graph: asked for again, each
+    # is read back, not derived again
+    derived = []
+
+    def count_calls_of(name):
+        original = getattr(graphs, name)
+
+        def wrapper(graph, *args):
+            derived.append((name, graph))
+            return original(graph, *args)
+
+        monkeypatch.setattr(graphs, name, wrapper)
+
+    for name in ("_Index", "_check", "project_to_mag", "_Invariants"):
+        count_calls_of(name)
+    g = mag("ABCD", Edge.directed("A", "B"), Edge.bidirected("B", "C"), Edge.directed("D", "C"))
+    assert g.parents("B") == ("A",) and g.adjacent("C") == ("B", "D")
+    assert validate(g).ok and validate(g) is validate(g)
+    assert maximal_augmentation(g) is maximal_augmentation(g)
+    assert g.parents("C") == ("D",) and g.adjacent("B") == ("A", "C")
+    assert markov_equivalent(g, g)
+    assert sorted(name for name, graph in derived if graph is g) == [
+        "_Index", "_Invariants", "_check", "project_to_mag",
+    ]
 
 
 def test_augmentation_of_non_maximal_mag_is_equivalent_with_another_skeleton():

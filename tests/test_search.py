@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import confinder.latentize
 import confinder.magspace
-from confinder.errors import ConstructionError, InconsistentStateError
+from confinder.errors import BudgetError, ConstructionError, InconsistentStateError
 from confinder.graphs import Edge, GraphKind, MixedGraph
 from confinder.latentize import latentize_min
 from confinder.magspace import enumerate_mags, orientation_neighbors, pag_of_mag, reference_mag
@@ -292,7 +292,7 @@ class TestForcedConfounder:
         assert reference_mag(pag).bidirected_count == 1
         data = instrument_data(100, 1)
         cfg = SearchConfig(max_bidirected=0, budget_seconds=1e-9)
-        with pytest.raises(ConstructionError, match="budget ran out during enumeration"):
+        with pytest.raises(BudgetError, match="budget ran out during enumeration"):
             run_search(pag, data, cfg)
 
     def test_cap_below_the_reference_mag_is_an_error_for_hill_climbing(self):

@@ -24,6 +24,7 @@ from confinder.vbem import (
     vb_m_step,
 )
 from oracles import (
+    distinct_rows,
     e_step_oracle,
     elbo_oracle,
     exact_conjugate_score,
@@ -412,7 +413,7 @@ def test_batched_restarts_match_restarts_run_alone(seed):
     assert np.allclose(state.elbo_trace, winner.elbo_trace, rtol=0.0, atol=1e-10)
     for node, table in winner.q_theta.items():
         assert np.allclose(state.q_theta[node], table, rtol=0.0, atol=1e-10)
-    _rows, inverse, _counts = data._distinct_rows
+    _rows, inverse, _counts = distinct_rows(data)
     for name, q in winner.q_latent.items():
         assert np.allclose(state.q_latent[name], q[inverse], rtol=0.0, atol=1e-10)
 
@@ -439,7 +440,7 @@ def assert_bit_identical_to_per_family_fit(model, data, **knobs):
 @settings(max_examples=25, deadline=None)
 def test_fit_is_bit_identical_to_the_per_family_steps(instance, seed):
     model, data = instance(random.Random(seed))
-    rows, _inverse, counts = data._distinct_rows
+    rows, _inverse, counts = distinct_rows(data)
     binding = vbem._bind_model(model, data, vbem.FamilyPrior(), rows, counts)
     assert binding.constant == per_family_constant(binding)
     assert_bit_identical_to_per_family_fit(model, data, c=1e-4, restarts=3, seed=seed)
