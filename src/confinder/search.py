@@ -73,8 +73,8 @@ class SearchConfig:
     VBEM threshold, ``max_states`` bounds the greedy cardinality growth and
     ``budget_seconds`` is the anytime wall-clock budget, which also bounds
     ilcv's walk over the equivalence class. ``restarts`` and ``seed`` set
-    each fit's restarts and the master seed; every fit uses VBEM's default
-    prior and iteration cap.
+    each fit's restarts and the master seed; every fit uses VBEM's fixed
+    unit prior and iteration cap.
     """
 
     strategy: Strategy = Strategy.ILCV
@@ -100,7 +100,12 @@ class SearchConfig:
             raise ValueError("restarts must be at least 1")
 
     def prior(self) -> FamilyPrior:
-        # the fits' fixed prior, for callers outside the search (perfbench/child.py)
+        """The fits' fixed unit prior, ``vbem.ALPHA``, as a ``FamilyPrior``.
+
+        No fit takes it; the benchmark child (``perfbench/child.py``) passes
+        it to ``vb_m_step`` and ``elbo``, and this method goes once that
+        caller stops.
+        """
         return FamilyPrior()
 
 

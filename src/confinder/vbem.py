@@ -7,6 +7,11 @@ step updates responsibilities from expected log parameters, the VB-M step
 updates Dirichlet parameters from expected counts, and the bound is
 evaluated in its closed form at the VB-M fixed point.
 
+A fit's prior and its iteration cap are constants of this module, not
+knobs: every entry of every family's table has the Dirichlet prior
+``ALPHA`` (1, the unit prior), and a restart stops after at most
+``ITERATION_CAP`` passes.
+
 Given the parameters the bound splits into one term per row, so identical
 rows share one responsibility vector at the optimum. A fit therefore runs
 over distinct rows m, each weighted by its count w_m:
@@ -58,7 +63,7 @@ table's row sums in the same order. A pass runs on that buffer:
 - the M-step forms one joint of the responsibilities per distinct tuple of
   latent members (a single latent's is just weights x responsibilities),
   makes one weighted ``bincount`` over all restarts' cells of all tables,
-  adds the prior, and appends the row sums with one reduction per shape;
+  adds ``ALPHA``, and appends the row sums with one reduction per shape;
 - the bound takes one ``gammaln`` of that buffer;
 - the next E-step starts from one ``digamma`` of the same buffer, so the
   row sums are computed once per pass. It gathers each latent's
@@ -98,7 +103,8 @@ from confinder.seeds import derive_seed
 
 DEFAULT_CONVERGENCE = 0.01
 DEFAULT_RESTARTS = 5
-DEFAULT_ITERATION_CAP = 500
+ALPHA = 1.0
+ITERATION_CAP = 500
 
 TRACE_SLACK = 1e-8
 
@@ -167,16 +173,19 @@ class Dataset:
 @dataclass(frozen=True, eq=False)
 class FamilyPrior:
     """Dirichlet hyperparameters: every entry of every family's
-    (parent configuration x state) table is the scalar ``alpha``."""
+    (parent configuration x state) table is the scalar ``alpha``.
 
-    alpha: float = 1.0
+    Fits always use ``ALPHA``. Only the public ``vb_m_step`` and ``elbo``
+    take a prior, because the benchmark child (``perfbench/child.py``)
+    still times them with ``SearchConfig.prior()``; this class goes once
+    that caller stops passing one.
+    """
+
+    alpha: float = ALPHA
 
     def __post_init__(self):
         if not (self.alpha > 0):
             raise ValueError("alpha must be positive")
-
-    def for_family(self, shape: Tuple[int, int]) -> np.ndarray:
-        return np.full(shape, float(self.alpha))
 
 
 @dataclass(eq=False)
@@ -255,16 +264,15 @@ class _Family:
     latent parents, plus the node itself when it is latent. ``cells``
     holds, for every joint configuration of the members (mixed radix, last
     member varying fastest) and every row, the flat index into the (parent
-    configuration x state) table that the row lands in. A latent root thus
-    has the rows 0..k-1 and a latent-free family a single row. The prior
-    table and, for latent-free families, the posterior table are
-    constants of the binding.
+    configuration x state) table, of shape ``table_shape``, that the row
+    lands in. A latent root thus has the rows 0..k-1 and a latent-free
+    family a single row; its posterior table, the counts plus ``alpha``,
+    is a constant of the binding.
     """
 
-    __slots__ = ("node", "members", "shape", "cells", "prior", "static_posterior")
+    __slots__ = ("node", "members", "shape", "table_shape", "cells", "static_posterior")
 
-    def __init__(self, node, parents, cards, columns, weights, rank,
-                 prior: FamilyPrior):
+    def __init__(self, node, parents, cards, columns, weights, rank, alpha: float):
         self.node = node
         card = cards[node]
         # each variable's weight in the flat (configuration, state) index
@@ -280,11 +288,12 @@ class _Family:
         for member in self.members:
             offsets = (offsets[:, None] + place[member] * np.arange(cards[member])).ravel()
         self.cells = offsets[:, None] + observed
-        self.prior = prior.for_family((math.prod(cards[p] for p in parents), card))
+        self.table_shape = (math.prod(cards[p] for p in parents), card)
         self.static_posterior = None
         if not self.members:
-            counts = np.bincount(self.cells[0], weights=weights, minlength=self.prior.size)
-            self.static_posterior = self.prior + counts.reshape(self.prior.shape)
+            counts = np.bincount(self.cells[0], weights=weights,
+                                 minlength=math.prod(self.table_shape))
+            self.static_posterior = counts.reshape(self.table_shape) + alpha
 
 
 def _member_operands(members, q_latent, skip=None) -> list:
@@ -386,15 +395,15 @@ class _Binding:
     """
 
     def __init__(self, families, latents, cards, columns, weights: np.ndarray,
-                 prior: FamilyPrior):
+                 alpha: float = ALPHA):
         self.n_rows = len(weights)
         self.weights = weights
-        self.alpha = float(prior.alpha)
+        self.alpha = float(alpha)
         self.latent_names = tuple(latents)
         self.latent_cards = {l: cards[l] for l in self.latent_names}
         rank = {l: i for i, l in enumerate(self.latent_names)}
         self.families = {
-            node: _Family(node, parents, cards, columns, weights, rank, prior)
+            node: _Family(node, parents, cards, columns, weights, rank, alpha)
             for node, parents in families
         }
         # families whose tables depend on the responsibilities
@@ -408,7 +417,7 @@ class _Binding:
             )
             for l in self.latent_names
         }
-        self.layout = _Layout({f.node: f.prior.shape for f in self.dynamic})
+        self.layout = _Layout({f.node: f.table_shape for f in self.dynamic})
         self._lay_out_m_and_e_steps()
 
     def _lay_out_m_and_e_steps(self) -> None:
@@ -460,25 +469,23 @@ class _Binding:
 
     @functools.cached_property
     def constant(self) -> float:
-        """The bound's terms that no responsibility moves: every prior's
-        log-Beta and the posterior log-Beta of latent-free families."""
-        static = [f.static_posterior for f in self.families.values()
-                  if f.static_posterior is not None]
-        tables = dict(enumerate(static + [f.prior for f in self.families.values()]))
-        layout = _Layout({key: table.shape for key, table in tables.items()})
-        log_betas = layout.log_betas(layout.fill(tables))
-        terms = [float(log_betas[key][0]) for key in tables]
-        return sum(terms[:len(static)]) - sum(terms[len(static):])
+        """The bound's terms that no responsibility moves: the posterior
+        log-Beta of latent-free families less every prior's log-Beta, one
+        table at a time."""
+        families = self.families.values()
+        return sum(
+            _log_beta(f.static_posterior) for f in families if f.static_posterior is not None
+        ) - sum(_log_beta(np.full(f.table_shape, self.alpha)) for f in families)
 
     # -- one pass over a batch: restarts x buffer cells ------------------------
 
     def tables(self, row: np.ndarray) -> Dict[str, np.ndarray]:
         """The dynamic tables of one restart's buffer row."""
-        return {node: row[span].reshape(self.families[node].prior.shape)
+        return {node: row[span].reshape(self.families[node].table_shape)
                 for node, span in self.layout.spans.items()}
 
     def m_step(self, q_latent) -> np.ndarray:
-        """Prior plus expected counts for every dynamic table, as a pass
+        """``alpha`` plus expected counts for every dynamic table, as a pass
         buffer: one joint per member tuple, one weighted ``bincount`` over
         all restarts' cells, and the row sums."""
         restarts = len(q_latent[self.latent_names[0]])
@@ -565,10 +572,10 @@ class _Binding:
             table = q_theta.get(node)
             if table is None:
                 raise DataBindingError(f"q_theta is missing family {node!r}")
-            if table.shape != family.prior.shape:
+            if table.shape != family.table_shape:
                 raise DataBindingError(
                     f"q_theta[{node!r}] has shape {table.shape}, expected "
-                    f"{family.prior.shape}"
+                    f"{family.table_shape}"
                 )
 
     def check_q_latent(self, q_latent: Mapping[str, np.ndarray]) -> None:
@@ -611,8 +618,8 @@ def _check_columns(model: LatentizedDag, data: Dataset) -> None:
         raise DataBindingError("; ".join(parts))
 
 
-def _bind_model(model: LatentizedDag, data: Dataset, prior: FamilyPrior,
-                rows: np.ndarray, weights: np.ndarray) -> _Binding:
+def _bind_model(model: LatentizedDag, data: Dataset, rows: np.ndarray,
+                weights: np.ndarray, alpha: float = ALPHA) -> _Binding:
     """The whole model bound to ``rows``, a table in the dataset's column
     order: families in node-name order, latents swept in name order."""
     _check_columns(model, data)
@@ -620,12 +627,13 @@ def _bind_model(model: LatentizedDag, data: Dataset, prior: FamilyPrior,
     cards.update((l.name, l.states) for l in model.spec.latents)
     columns = {name: rows[:, i] for i, name in enumerate(data.names)}
     families = [(node, model.dag.parents(node)) for node in sorted(model.dag.nodes)]
-    return _Binding(families, sorted(model.spec.names), cards, columns, weights, prior)
+    return _Binding(families, sorted(model.spec.names), cards, columns, weights, alpha)
 
 
 def _bind_every_row(model: LatentizedDag, data: Dataset,
                     prior: Optional[FamilyPrior] = None) -> _Binding:
-    return _bind_model(model, data, prior or FamilyPrior(), data.rows, np.ones(data.n_rows))
+    return _bind_model(model, data, data.rows, np.ones(data.n_rows),
+                       (prior or FamilyPrior()).alpha)
 
 
 def _check_fixed_point(binding, q_theta, q_batch) -> None:
@@ -695,12 +703,12 @@ class _Fitted:
     cut: bool
 
 
-def _run_batch(binding: _Binding, q_latent, c: float, max_iterations: int,
+def _run_batch(binding: _Binding, q_latent, c: float,
                deadline: Optional[float]) -> _Fitted:
     """Advance every restart as one batch and keep the best.
 
     A restart leaves the batch, its state frozen, once a pass after the
-    first improves its bound by less than ``c`` or after ``max_iterations``
+    first improves its bound by less than ``c`` or after ``ITERATION_CAP``
     passes. The best final bound wins; ties go to the earliest restart.
     ``deadline`` is checked before every pass; once it has passed, every
     running restart stops.
@@ -720,7 +728,7 @@ def _run_batch(binding: _Binding, q_latent, c: float, max_iterations: int,
             )
 
     cut = False
-    for iteration in range(max_iterations):
+    for iteration in range(ITERATION_CAP):
         if deadline is not None and time.monotonic() >= deadline:
             cut = True
             break
@@ -800,7 +808,7 @@ class _Component:
         )
 
     def bind(self, data: Dataset, names: Tuple[str, ...], rows: np.ndarray,
-             counts: np.ndarray, prior: FamilyPrior) -> _Binding:
+             counts: np.ndarray) -> _Binding:
         """The component over ``rows``, the distinct rows of the columns
         ``names``, each weighted by its count."""
         cards = {name: data.cardinality(name) for name in names}
@@ -808,7 +816,7 @@ class _Component:
         positions = range(len(self.latents))
         families = [(i, ()) for i in positions] + list(self.families)
         columns = {name: rows[:, i] for i, name in enumerate(names)}
-        return _Binding(families, positions, cards, columns, counts, prior)
+        return _Binding(families, positions, cards, columns, counts)
 
     def model_table(self, node, table: np.ndarray) -> np.ndarray:
         """A copy of a fitted table, laid out over the model's parent order."""
@@ -858,10 +866,12 @@ class FitMemo:
     """What the fits on one dataset share, so a repeated part is a lookup.
 
     ``run_vbem`` keeps here each component's fit by its key and the fit
-    settings, each latent-free family's posterior table and score by
-    (node, parents) and the prior, and the distinct rows, with each
-    observation's row and each row's count, of every set of columns it has
-    bound. A fit that the deadline cut short is not kept.
+    settings (``c``, ``restarts`` and ``seed``), each latent-free family's
+    posterior table and score by (node, parents), and the distinct rows,
+    with each observation's row and each row's count, of every set of
+    columns it has bound. The prior and the iteration cap are the module's
+    ``ALPHA`` and ``ITERATION_CAP``, so no key holds them. A fit that the
+    deadline cut short is not kept.
     """
 
     def __init__(self, data: Dataset):
@@ -884,34 +894,33 @@ class FitMemo:
             found = self.rows[names] = (names, rows, inverse, counts)
         return found
 
-    def family(self, node: str, parents: Tuple[str, ...],
-               prior: FamilyPrior) -> Tuple[np.ndarray, float]:
+    def family(self, node: str, parents: Tuple[str, ...]) -> Tuple[np.ndarray, float]:
         """A latent-free family's posterior table and its closed-form score
-        (Heckerman, Geiger & Chickering 1995)."""
-        key = (prior.alpha, node, parents)
+        (Heckerman, Geiger & Chickering 1995): the constant of a binding
+        that holds the family alone."""
+        key = (node, parents)
         found = self.families.get(key)
         if found is None:
             names, rows, _inverse, counts = self.distinct(self.data.names)
             columns = {name: rows[:, i] for i, name in enumerate(names)}
-            family = _Family(node, parents, dict(self.data.variables), columns, counts,
-                             {}, prior)
-            table = family.static_posterior
-            found = self.families[key] = (table, _log_beta(table) - _log_beta(family.prior))
+            binding = _Binding([key], (), dict(self.data.variables), columns, counts)
+            found = self.families[key] = (
+                binding.families[node].static_posterior, binding.constant,
+            )
         return found
 
-    def component(self, component: _Component, prior: FamilyPrior, c: float,
-                  restarts: int, seed: int, max_iterations: int,
+    def component(self, component: _Component, c: float, restarts: int, seed: int,
                   deadline: Optional[float]) -> Tuple[_Fitted, np.ndarray]:
         """The component's fit and each observation's bound row. Restarts
         draw from a seed derived from the component's key."""
-        key = (prior.alpha, c, restarts, seed, max_iterations, component.key)
+        key = (c, restarts, seed, component.key)
         found = self.components.get(key)
         if found is None:
             names, rows, inverse, counts = self.distinct(component.columns)
-            binding = component.bind(self.data, names, rows, counts, prior)
+            binding = component.bind(self.data, names, rows, counts)
             draw = _draw(binding, inverse, counts,
                          derive_seed(seed, "component", component.key), restarts)
-            found = (_run_batch(binding, draw, c, max_iterations, deadline), inverse)
+            found = (_run_batch(binding, draw, c, deadline), inverse)
             if not found[0].cut:
                 self.components[key] = found
         return found
@@ -951,7 +960,10 @@ def vb_m_step(
     q_latent: Mapping[str, np.ndarray],
     prior: Optional[FamilyPrior] = None,
 ) -> Dict[str, np.ndarray]:
-    """Posterior Dirichlet parameters: prior plus expected counts."""
+    """Posterior Dirichlet parameters: prior plus expected counts.
+
+    ``prior`` defaults to the fits' ``ALPHA``; see ``FamilyPrior``.
+    """
     binding = _bind_every_row(model, data, prior)
     binding.check_q_latent(q_latent)
     return binding.fixed_point(_rows_last(binding, q_latent))
@@ -968,7 +980,7 @@ def elbo(
     Refuses (InconsistentStateError) when ``state.q_theta`` is not the VB-M
     update of ``state.q_latent``: away from the fixed point this formula is
     not the bound, and silently returning it would corrupt every comparison
-    built on top.
+    built on top. ``prior`` is as in ``vb_m_step``.
     """
     binding = _bind_every_row(model, data, prior)
     binding.check_q_theta(state.q_theta)
@@ -994,16 +1006,15 @@ def p_elbo(elbo_value: float, spec: LatentSpec) -> float:
 def run_vbem(
     model: LatentizedDag,
     data: Dataset,
-    prior: Optional[FamilyPrior] = None,
     c: float = DEFAULT_CONVERGENCE,
     restarts: int = DEFAULT_RESTARTS,
     seed: int = 0,
-    max_iterations: int = DEFAULT_ITERATION_CAP,
     deadline: Optional[float] = None,
     memo: Optional[FitMemo] = None,
 ) -> Tuple[VariationalState, ScoreReport]:
     """Fit the surrogate posterior: latent-free families in closed form,
-    each component by the best of seeded restarts.
+    each component by the best of seeded restarts, all under the unit
+    prior ``ALPHA`` and with at most ``ITERATION_CAP`` passes a restart.
 
     A component's restarts draw from a seed derived from ``seed`` and the
     component's key, so a component fits the same in every model that
@@ -1023,10 +1034,9 @@ def run_vbem(
     """
     if not (c > 0):
         raise ValueError("convergence threshold must be positive")
-    if restarts < 1 or max_iterations < 1:
-        raise ValueError("restarts and max_iterations must be at least 1")
+    if restarts < 1:
+        raise ValueError("restarts must be at least 1")
     _check_columns(model, data)
-    prior = prior or FamilyPrior()
     if memo is None:
         memo = FitMemo(data)
     elif memo.data is not data:
@@ -1036,14 +1046,11 @@ def run_vbem(
     q_theta: Dict[str, np.ndarray] = {}
     constant = 0.0
     for node in free:
-        table, score = memo.family(node, model.dag.parents(node), prior)
+        table, score = memo.family(node, model.dag.parents(node))
         q_theta[node] = table.copy()
         constant += score
     q_latent: Dict[str, np.ndarray] = {}
-    fits = [
-        memo.component(component, prior, c, restarts, seed, max_iterations, deadline)
-        for component in components
-    ]
+    fits = [memo.component(component, c, restarts, seed, deadline) for component in components]
     trace = np.full(max([len(fit.trace) for fit, _inverse in fits], default=1), constant)
     for component, (fit, inverse) in zip(components, fits):
         for node, table in fit.tables.items():

@@ -53,10 +53,8 @@ from confinder.seeds import derive_seed
 from confinder import vbem
 from confinder.vbem import (
     DEFAULT_CONVERGENCE,
-    DEFAULT_ITERATION_CAP,
     DEFAULT_RESTARTS,
     Dataset,
-    FamilyPrior,
     ScoreReport,
     VariationalState,
     elbo,
@@ -557,11 +555,9 @@ def random_latentized_instance(rng: random.Random, max_latents: int = 2, compone
 def reference_vbem(
     model: LatentizedDag,
     data: Dataset,
-    prior=None,
     c: float = DEFAULT_CONVERGENCE,
     restarts: int = DEFAULT_RESTARTS,
     seed: int = 0,
-    max_iterations: int = DEFAULT_ITERATION_CAP,
 ) -> List[VariationalState]:
     """Every restart of a fit that gives each row its own responsibilities.
 
@@ -578,12 +574,12 @@ def reference_vbem(
             name: rng.dirichlet(np.ones(model.spec.states_of(name)), size=data.n_rows)
             for name in names
         }
-        q_theta = vb_m_step(model, data, q_latent, prior)
-        trace = [elbo(model, data, VariationalState(q_theta, q_latent), prior)]
-        for iteration in range(max_iterations):
+        q_theta = vb_m_step(model, data, q_latent)
+        trace = [elbo(model, data, VariationalState(q_theta, q_latent))]
+        for iteration in range(vbem.ITERATION_CAP):
             q_latent = vb_e_step(model, data, q_theta, q_latent)
-            q_theta = vb_m_step(model, data, q_latent, prior)
-            trace.append(elbo(model, data, VariationalState(q_theta, q_latent), prior))
+            q_theta = vb_m_step(model, data, q_latent)
+            trace.append(elbo(model, data, VariationalState(q_theta, q_latent)))
             if iteration and abs(trace[-1] - trace[-2]) < c:
                 break
         fits.append(VariationalState(q_theta, q_latent, tuple(trace)))
@@ -614,19 +610,17 @@ def _initial_draw(binding, data: Dataset, seed: int, restart: int) -> dict:
     }
 
 
-def _distinct_binding(model: LatentizedDag, data: Dataset, prior=None):
+def _distinct_binding(model: LatentizedDag, data: Dataset):
     rows, _inverse, counts = distinct_rows(data)
-    return vbem._bind_model(model, data, prior or FamilyPrior(), rows, counts)
+    return vbem._bind_model(model, data, rows, counts)
 
 
 def whole_vbem(
     model: LatentizedDag,
     data: Dataset,
-    prior=None,
     c: float = DEFAULT_CONVERGENCE,
     restarts: int = DEFAULT_RESTARTS,
     seed: int = 0,
-    max_iterations: int = DEFAULT_ITERATION_CAP,
     deadline: Optional[float] = None,
 ) -> Tuple[VariationalState, ScoreReport]:
     """The whole-model flat fit: every latent in one batch of restarts over
@@ -637,14 +631,14 @@ def whole_vbem(
     is checked against. It runs ``vbem``'s own batch (``_draw`` and
     ``_run_batch``) on a binding of the whole model.
     """
-    binding = _distinct_binding(model, data, prior)
+    binding = _distinct_binding(model, data)
     _rows, inverse, counts = distinct_rows(data)
     if not binding.latent_names:
         value = binding.constant
         state = VariationalState(binding.full_q_theta({}), {}, (value,))
         return state, ScoreReport(value, vbem.p_elbo(value, model.spec), 1, True, 1)
     draw = vbem._draw(binding, inverse, counts, seed, restarts)
-    fit = vbem._run_batch(binding, draw, c, max_iterations, deadline)
+    fit = vbem._run_batch(binding, draw, c, deadline)
     state = VariationalState(
         binding.full_q_theta(fit.tables),
         {name: q.T[inverse] for name, q in fit.q_latent.items()},
@@ -662,7 +656,6 @@ def sequential_vbem(
     c: float = DEFAULT_CONVERGENCE,
     restarts: int = DEFAULT_RESTARTS,
     seed: int = 0,
-    max_iterations: int = DEFAULT_ITERATION_CAP,
 ) -> List[Tuple[VariationalState, bool]]:
     """Every restart of ``whole_vbem`` run alone, one after another.
 
@@ -670,7 +663,7 @@ def sequential_vbem(
     binding's ``m_step``, ``bound`` and ``e_step``), from the same initial
     draw, in the loop that ran restarts in turn: it stops after a pass, not
     the first, that improves the bound by less than ``c``, or after
-    ``max_iterations`` passes. Returns each restart's state over the
+    ``vbem.ITERATION_CAP`` passes. Returns each restart's state over the
     distinct rows and whether it converged.
     """
     binding = _distinct_binding(model, data)
@@ -680,7 +673,7 @@ def sequential_vbem(
         buffer = binding.m_step(q_latent)
         trace = [float(binding.bound(buffer, q_latent)[0])]
         converged = False
-        for iteration in range(max_iterations):
+        for iteration in range(vbem.ITERATION_CAP):
             q_latent = binding.e_step(buffer, q_latent)
             buffer = binding.m_step(q_latent)
             trace.append(float(binding.bound(buffer, q_latent)[0]))
@@ -706,7 +699,7 @@ def sequential_vbem(
 def _batch_cells(family, restarts: int) -> np.ndarray:
     """The flat cells of a batch of ``restarts`` tables laid end to end:
     restart r's cells are offset by r table sizes."""
-    shift = family.prior.size * np.arange(restarts)
+    shift = math.prod(family.table_shape) * np.arange(restarts)
     return (shift[:, None, None] + family.cells).ravel()
 
 
@@ -771,7 +764,7 @@ def _e_step(binding, q_theta, q_latent) -> Dict[str, np.ndarray]:
 
 
 def _m_step(binding, q_latent) -> Dict[str, np.ndarray]:
-    """Prior plus expected counts for every dynamic family: one weighted
+    """``alpha`` plus expected counts for every dynamic family: one weighted
     ``bincount`` per family over all restarts' cells."""
     q_theta = {}
     for family in binding.dynamic:
@@ -783,9 +776,9 @@ def _m_step(binding, q_latent) -> Dict[str, np.ndarray]:
         )
         counts = np.bincount(
             _batch_cells(family, restarts), weights=joint.ravel(),
-            minlength=restarts * family.prior.size,
+            minlength=restarts * math.prod(family.table_shape),
         )
-        q_theta[family.node] = family.prior + counts.reshape(restarts, *family.prior.shape)
+        q_theta[family.node] = counts.reshape(restarts, *family.table_shape) + binding.alpha
     return q_theta
 
 
@@ -813,7 +806,7 @@ def per_family_constant(binding) -> float:
     families = binding.families.values()
     return sum(
         log_beta(f.static_posterior) for f in families if f.static_posterior is not None
-    ) - sum(log_beta(f.prior) for f in families)
+    ) - sum(log_beta(np.full(f.table_shape, binding.alpha)) for f in families)
 
 
 def per_family_vbem(
@@ -822,7 +815,6 @@ def per_family_vbem(
     c: float = DEFAULT_CONVERGENCE,
     restarts: int = DEFAULT_RESTARTS,
     seed: int = 0,
-    max_iterations: int = DEFAULT_ITERATION_CAP,
 ) -> Tuple[VariationalState, ScoreReport]:
     """``whole_vbem`` (without a deadline) on the per-family steps: every
     restart advances in one batch and leaves it, state frozen, once its own
@@ -852,7 +844,7 @@ def per_family_vbem(
                 converged,
             )
 
-    for iteration in range(max_iterations):
+    for iteration in range(vbem.ITERATION_CAP):
         q_latent = _e_step(binding, q_theta, q_latent)
         q_theta = _m_step(binding, q_latent)
         previous, bounds = bounds, _elbo(binding, q_theta, q_latent)

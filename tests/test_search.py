@@ -27,7 +27,15 @@ from confinder.search import (
     run_search,
 )
 from confinder.seeds import derive_seed
-from confinder.vbem import DEFAULT_ITERATION_CAP, Dataset, run_vbem
+from confinder.vbem import (
+    ITERATION_CAP,
+    Dataset,
+    VariationalState,
+    elbo,
+    run_vbem,
+    vb_e_step,
+    vb_m_step,
+)
 
 from oracles import exact_conjugate_score, hill_climb_order_oracle, random_maximal_mag
 
@@ -518,7 +526,7 @@ class TestAnytime:
         assert len(trace.entries) == 1
         assert len(best.model.spec) == components
         assert not best.report.converged
-        assert best.report.iterations <= DEFAULT_ITERATION_CAP
+        assert best.report.iterations <= ITERATION_CAP
         if components == 2:
             # the first component ran to the end: alone, it fits the same
             pair = MixedGraph(GraphKind.MAG, ("A", "B"), (Edge.bidirected("A", "B"),))
@@ -591,6 +599,55 @@ class TestComponentMemo:
                     assert np.array_equal(scored.state.q_latent[name], q)
         # the stratum-1 members share every fitted part with the others
         assert len(forward.memo.components) < sum(len(m.spec) for m in models)
+
+
+def two_pair_instance():
+    """A <-> B and C <-> D, each pair driven by its own hidden binary
+    cause: the winner's two latents share no family, so its state is
+    composed of two component fits. 600 rows."""
+    rng = np.random.default_rng(6)
+    n = 600
+    columns = []
+    for _pair in range(2):
+        u = rng.integers(0, 2, n)
+        columns += [np.where(rng.random(n) < 0.15, 1 - u, u) for _child in range(2)]
+    data = Dataset(tuple((name, 2) for name in "ABCD"), np.column_stack(columns))
+    pag = MixedGraph(GraphKind.PAG, tuple("ABCD"),
+                     (Edge.bidirected("A", "B"), Edge.bidirected("C", "D")))
+    return pag, data
+
+
+class TestWinnerStateAtTheFixedPoint:
+    """The composed winner state of a search, passed through the public
+    steps under ``SearchConfig().prior()`` as the benchmark child passes it,
+    is the VB-M fixed point its report scores."""
+
+    @pytest.mark.parametrize("instance, components", [
+        (lambda: (instrument_pag(), instrument_data(1000, 5)), 1),
+        (two_pair_instance, 2),
+    ], ids=["instrument", "two-components"])
+    def test_the_public_steps_accept_the_winner_state(self, instance, components):
+        pag, data = instance()
+        best, _trace = run_search(pag, data, SearchConfig())
+        model, state, prior = best.model, best.state, SearchConfig().prior()
+        assert len(vbem._split(model, dict(data.variables))[1]) == components
+
+        q_theta = vb_m_step(model, data, state.q_latent, prior)
+        assert q_theta.keys() == state.q_theta.keys()
+        for node, table in q_theta.items():
+            assert np.allclose(state.q_theta[node], table, rtol=1e-9, atol=1e-8)
+        assert elbo(model, data, state, prior) == pytest.approx(
+            best.report.elbo, rel=0.0, abs=1e-9
+        )
+        # one more E and M step from the winner cannot lower its bound
+        q_latent = vb_e_step(model, data, state.q_theta, state.q_latent)
+        moved_on = VariationalState(vb_m_step(model, data, q_latent, prior), q_latent)
+        assert elbo(model, data, moved_on, prior) >= best.report.elbo - 1e-9
+
+        for node, table in state.q_theta.items():
+            off = VariationalState({**state.q_theta, node: table + 0.5}, state.q_latent)
+            with pytest.raises(InconsistentStateError, match="VB-M"):
+                elbo(model, data, off, prior)
 
 
 class TestDeterminism:

@@ -343,7 +343,9 @@ def test_trace_is_monotone(seed):
     rng = random.Random(seed)
     model = pair_model() if rng.random() < 0.5 else chain_model()
     data = dataset_for(model, rng, rng.randint(2, 50))
-    state, _report = run_vbem(model, data, restarts=2, seed=seed, max_iterations=25)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(vbem, "ITERATION_CAP", 25)
+        state, _report = run_vbem(model, data, restarts=2, seed=seed)
     trace = state.elbo_trace
     for earlier, later in zip(trace, trace[1:]):
         assert later >= earlier - 1e-8
@@ -441,7 +443,7 @@ def assert_bit_identical_to_per_family_fit(model, data, **knobs):
 def test_fit_is_bit_identical_to_the_per_family_steps(instance, seed):
     model, data = instance(random.Random(seed))
     rows, _inverse, counts = distinct_rows(data)
-    binding = vbem._bind_model(model, data, vbem.FamilyPrior(), rows, counts)
+    binding = vbem._bind_model(model, data, rows, counts)
     assert binding.constant == per_family_constant(binding)
     assert_bit_identical_to_per_family_fit(model, data, c=1e-4, restarts=3, seed=seed)
 
@@ -477,12 +479,16 @@ def test_a_pass_calls_digamma_and_gammaln_once_each(instance, monkeypatch):
             return function(values)
         return wrapper
 
+    rows, _inverse, counts = distinct_rows(data)
+    families = vbem._bind_model(model, data, rows, counts).families.values()
+    # the binding's constant takes two per table: a prior for every family
+    # and the posterior of every latent-free one
+    tables = len(families) + sum(f.static_posterior is not None for f in families)
     for name in ("digamma", "gammaln"):
         monkeypatch.setattr(vbem, name, counted(name))
     whole_vbem(model, data, restarts=3, seed=1)
-    # gammaln also runs once for the initial bound and once for the
-    # binding's constant terms
-    assert calls == {"digamma": passes, "gammaln": passes + 2}
+    # gammaln also runs once for the initial bound
+    assert calls == {"digamma": passes, "gammaln": passes + 1 + 2 * tables}
 
 
 def single_latent_models():
@@ -553,14 +559,13 @@ def composed_bound(model, data, q_latent):
     """The bound split as ``run_vbem`` splits it, at per-observation
     responsibilities: the latent-free families' closed-form scores plus
     each component's bound with every row bound once."""
-    prior = vbem.FamilyPrior()
     memo = vbem.FitMemo(data)
     free, components = vbem._split(model, dict(data.variables))
-    total = sum(memo.family(node, model.dag.parents(node), prior)[1] for node in free)
+    total = sum(memo.family(node, model.dag.parents(node))[1] for node in free)
     for component in components:
         names = tuple(n for n in data.names if n in component.columns)
         rows = data.rows[:, [data.names.index(n) for n in names]]
-        binding = component.bind(data, names, rows, np.ones(data.n_rows), prior)
+        binding = component.bind(data, names, rows, np.ones(data.n_rows))
         batch = {i: q_latent[name].T[None] for i, name in enumerate(component.latents)}
         total += float(binding.bound(binding.m_step(batch), batch)[0])
     return total
@@ -612,6 +617,33 @@ def test_fits_do_not_depend_on_latent_labels(seed):
     # observed tables follow each model's own parent order: the bound at
     # the relabeled state checks they are its VB-M update
     assert elbo(other, data, other_state) == pytest.approx(other_report.elbo, abs=1e-8)
+
+
+def test_a_shared_memo_never_returns_a_fit_made_under_other_settings():
+    # a component's memo key holds c, restarts and seed besides the
+    # component itself; each call here differs from the first in one of them
+    model = chain_model()
+    data = dataset_for(model, random.Random(3), 40)
+    settings = [
+        dict(c=0.01, restarts=5, seed=0),
+        dict(c=1e-4, restarts=5, seed=0),
+        dict(c=0.01, restarts=2, seed=0),
+        dict(c=0.01, restarts=5, seed=1),
+    ]
+    memo = vbem.FitMemo(data)
+    traces = set()
+    for knobs in settings + settings[::-1]:
+        state, report = run_vbem(model, data, memo=memo, **knobs)
+        alone_state, alone = run_vbem(model, data, **knobs)
+        assert report == alone
+        assert state.elbo_trace == alone_state.elbo_trace
+        for node, table in alone_state.q_theta.items():
+            assert np.array_equal(state.q_theta[node], table)
+        for name, q in alone_state.q_latent.items():
+            assert np.array_equal(state.q_latent[name], q)
+        traces.add(state.elbo_trace)
+    # every setting fits differently, so a lookup under the wrong key shows
+    assert len(traces) == len(settings) == len(memo.components)
 
 
 def test_state_invariants_are_enforced():
