@@ -1,16 +1,18 @@
 """Text formats for graphs, models, datasets, reports, and traces.
 
-Graph files hold ``node <name> <cardinality>`` declarations and one edge
-per line (``A --> B``, ``A <-> B``, ``A o-> B``, ``A o-o B``); ``#`` starts
-a comment. Model files add ``cpt <node> | <parent-config> : p1 p2 ...``
-lines, latentized-DAG files add ``latent <name> states <k> children ...``
-lines. Datasets are header-bearing CSV with integer state indices; node
-declarations may optionally append one label per state, letting data cells
-use labels instead. Serializers emit a canonical form that parses back
+Graph (PAG, MAG, DAG), model and latentized-DAG files share one line
+grammar, read by ``_read`` and written by ``serialize_graph``: ``node
+<name> <cardinality> [label ...]`` lines, one edge per line (``A --> B``,
+``A <-> B``, ``A o-> B``, ``A o-o B``) and ``#`` comments. Model files add
+``cpt <node> | <parent-config> : p1 p2 ...`` lines, latentized-DAG files
+``latent <name> states <k> children ...`` lines. An error on a line names
+that line. Datasets are header-bearing CSV with integer state indices or
+the declared labels. Serializers emit a canonical form that parses back
 byte-identically.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -37,10 +39,6 @@ def _format_float(value) -> str:
     return repr(float(value))
 
 
-def edge_token(edge: Edge) -> str:
-    return f"{_LEFT_CHARS[edge.mark_a]}-{_RIGHT_CHARS[edge.mark_b]}"
-
-
 def _parse_marks(token: str, lineno: int) -> Tuple[Mark, Mark]:
     if (
         len(token) != 3
@@ -50,6 +48,18 @@ def _parse_marks(token: str, lineno: int) -> Tuple[Mark, Mark]:
     ):
         raise GraphFormatError(f"malformed edge mark {token!r}", lineno)
     return _LEFT_MARKS[token[0]], _RIGHT_MARKS[token[2]]
+
+
+def _misread_label(labels: Sequence[str]) -> Optional[str]:
+    """The first label that a data cell would read as another state: one
+    that parses as an integer other than its own state index."""
+    for i, label in enumerate(labels):
+        try:
+            if int(label) != i:
+                return label
+        except ValueError:
+            pass
+    return None
 
 
 @dataclass(frozen=True)
@@ -71,13 +81,15 @@ class _Scan:
         self.cpts: List[Tuple[int, str, Optional[str], List[float]]] = []
 
 
-def _scan(text: str) -> _Scan:
+def _scan(text: str, takes: str) -> _Scan:
     scan = _Scan()
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         parts = line.split()
+        if parts[0] in ("latent", "cpt") and parts[0] != takes:
+            raise GraphFormatError(f"unexpected {parts[0]!r} line", lineno)
         if parts[0] == "node":
             _scan_node(scan, parts, lineno)
         elif parts[0] == "latent":
@@ -118,6 +130,11 @@ def _scan_node(scan: _Scan, parts: Sequence[str], lineno: int) -> None:
             )
         if len(set(labels)) != len(labels):
             raise GraphFormatError(f"node {name} has duplicate state labels", lineno)
+        misread = _misread_label(labels)
+        if misread is not None:
+            raise GraphFormatError(
+                f"node {name} label {misread!r} reads as another state's index", lineno
+            )
     scan.nodes[name] = (card, labels, lineno)
 
 
@@ -154,58 +171,71 @@ def _scan_cpt(scan: _Scan, line: str, lineno: int) -> None:
             probs.append(float(token))
         except ValueError:
             raise GraphFormatError(f"probability {token!r} is not a number", lineno)
+        if not math.isfinite(probs[-1]):
+            raise GraphFormatError(f"probability {token!r} is not finite", lineno)
     if not probs:
         raise GraphFormatError("cpt line has no probabilities", lineno)
     scan.cpts.append((lineno, node, config.strip(), probs))
 
 
-def _check_endpoints(scan: _Scan) -> None:
-    for lineno, a, b, _ma, _mb in scan.edges:
+def _read(text: str, kind: GraphKind, takes: str = "") -> Tuple[_Scan, MixedGraph]:
+    """Scan a graph-family file and build its valid graph of ``kind``.
+
+    ``takes`` is the extra line kind the format reads, ``"cpt"`` or
+    ``"latent"``; the scan refuses any other. Each declared latent becomes
+    a node unless a node line already declared it with as many states. A
+    check that fails on a line names it, the first such line in file order.
+    """
+    scan = _scan(text, takes)
+    if not scan.nodes:
+        raise GraphFormatError("no node declarations found")
+    declared = {latent.name for _l, latent in scan.latents}
+    for name, (_card, _labels, lineno) in scan.nodes.items():
+        if name.startswith(RESERVED_PREFIX) and name not in declared:
+            raise GraphFormatError(
+                f"node {name!r} uses the reserved '{RESERVED_PREFIX}' prefix but has no "
+                f"latent declaration",
+                lineno,
+            )
+    for lineno, latent in scan.latents:
+        card = scan.nodes.setdefault(latent.name, (latent.states, (), lineno))[0]
+        if card != latent.states:
+            raise GraphFormatError(
+                f"latent {latent.name} declares {latent.states} states but "
+                f"node line says {card}",
+                lineno,
+            )
+    pairs = set()
+    for lineno, a, b, mark_a, mark_b in scan.edges:
         for name in (a, b):
             if name not in scan.nodes:
                 raise GraphFormatError(f"unknown node {name!r}", lineno)
-    seen = {}
-    for lineno, a, b, _ma, _mb in scan.edges:
         pair = (min(a, b), max(a, b))
-        if pair in seen:
-            raise GraphFormatError(
-                f"second edge between {pair[0]} and {pair[1]}", lineno
-            )
-        seen[pair] = lineno
+        if pair in pairs:
+            raise GraphFormatError(f"second edge between {pair[0]} and {pair[1]}", lineno)
+        pairs.add(pair)
+        if kind is GraphKind.DAG and {mark_a, mark_b} != {Mark.TAIL, Mark.ARROW}:
+            raise GraphFormatError("DAG edges must be directed", lineno)
+    edges = tuple(Edge(a, b, ma, mb) for _lineno, a, b, ma, mb in scan.edges)
+    graph = MixedGraph(kind, tuple(scan.nodes), edges)
+    require_valid(graph, kind, "parsed graph")
+    return scan, graph
 
 
-def _reject_underscore_nodes(scan: _Scan) -> None:
-    for name, (_card, _labels, lineno) in scan.nodes.items():
-        if name.startswith(RESERVED_PREFIX):
-            raise GraphFormatError(
-                f"node name {name!r} uses the reserved '{RESERVED_PREFIX}' prefix", lineno
-            )
-
-
-def _build_graph(scan: _Scan, kind: GraphKind) -> MixedGraph:
-    _check_endpoints(scan)
-    edges = tuple(
-        Edge(a, b, ma, mb) for _lineno, a, b, ma, mb in scan.edges
+def _declared(
+    scan: _Scan, names: Sequence[str]
+) -> Tuple[Dict[str, int], Dict[str, Tuple[str, ...]]]:
+    """Cardinalities and labels of the declared nodes in ``names``, in file order."""
+    kept = [(name, node) for name, node in scan.nodes.items() if name in names]
+    return (
+        {name: card for name, (card, _labels, _l) in kept},
+        {name: labels for name, (_card, labels, _l) in kept if labels},
     )
-    return MixedGraph(kind, tuple(scan.nodes), edges)
 
 
 def parse_graph_file(text: str, kind: GraphKind) -> GraphFile:
-    scan = _scan(text)
-    if scan.latents:
-        raise GraphFormatError("unexpected 'latent' line", scan.latents[0][0])
-    if scan.cpts:
-        raise GraphFormatError("unexpected 'cpt' line", scan.cpts[0][0])
-    if not scan.nodes:
-        raise GraphFormatError("no node declarations found")
-    _reject_underscore_nodes(scan)
-    graph = _build_graph(scan, kind)
-    require_valid(graph, kind, "parsed graph")
-    cards = {name: card for name, (card, _labels, _l) in scan.nodes.items()}
-    labels = {
-        name: lbls for name, (_card, lbls, _l) in scan.nodes.items() if lbls
-    }
-    return GraphFile(graph, cards, labels)
+    scan, graph = _read(text, kind)
+    return GraphFile(graph, *_declared(scan, graph.nodes))
 
 
 def parse_pag(text: str) -> MixedGraph:
@@ -221,45 +251,28 @@ def serialize_graph(
     cardinalities: Mapping[str, int],
     labels: Optional[Mapping[str, Sequence[str]]] = None,
 ) -> str:
+    """Node and edge lines, the part of the text every format shares."""
     lines = []
     for name in graph.nodes:
         suffix = ""
         if labels and name in labels:
             suffix = " " + " ".join(labels[name])
         lines.append(f"node {name} {cardinalities[name]}{suffix}")
-    for edge in graph.edges:
-        lines.append(f"{edge.a} {edge_token(edge)} {edge.b}")
+    lines.extend(
+        f"{e.a} {_LEFT_CHARS[e.mark_a]}-{_RIGHT_CHARS[e.mark_b]} {e.b}" for e in graph.edges
+    )
     return "\n".join(lines) + "\n"
 
 
 def parse_model(text: str) -> BnModel:
-    scan = _scan(text)
-    if scan.latents:
-        raise GraphFormatError("unexpected 'latent' line in a model", scan.latents[0][0])
-    if not scan.nodes:
-        raise GraphFormatError("no node declarations found")
-    _reject_underscore_nodes(scan)
-    for lineno, _a, _b, ma, mb in scan.edges:
-        if {ma, mb} != {Mark.TAIL, Mark.ARROW}:
-            raise GraphFormatError("model edges must be directed", lineno)
-    dag = _build_graph(scan, GraphKind.DAG)
-    require_valid(dag, GraphKind.DAG, "model graph")
-    cards = {name: card for name, (card, _lbl, _l) in scan.nodes.items()}
-
-    tables: Dict[str, np.ndarray] = {}
-    filled: Dict[str, np.ndarray] = {}
+    scan, dag = _read(text, GraphKind.DAG, "cpt")
+    cards = _declared(scan, dag.nodes)[0]
+    rows: Dict[str, Dict[int, List[float]]] = {node: {} for node in dag.nodes}
     for lineno, node, config, probs in scan.cpts:
-        if node not in cards:
+        if node not in rows:
             raise GraphFormatError(f"cpt for unknown node {node!r}", lineno)
-        parents = tuple(sorted(dag.parents(node)))
-        if node not in tables:
-            j_count = 1
-            for p in parents:
-                j_count *= cards[p]
-            tables[node] = np.zeros((j_count, cards[node]))
-            filled[node] = np.zeros(j_count, dtype=bool)
-        j = _config_index(node, parents, cards, config, lineno)
-        if filled[node][j]:
+        j = _config_index(node, tuple(sorted(dag.parents(node))), cards, config, lineno)
+        if j in rows[node]:
             raise GraphFormatError(
                 f"duplicate configuration for {node}: {config or '(root)'}", lineno
             )
@@ -272,16 +285,17 @@ def parse_model(text: str) -> BnModel:
             raise GraphFormatError("probabilities must be non-negative", lineno)
         if abs(sum(probs) - 1.0) > 1e-9:
             raise GraphFormatError("probabilities must sum to 1", lineno)
-        tables[node][j] = probs
-        filled[node][j] = True
-    for node in dag.nodes:
-        if node not in tables:
+        rows[node][j] = probs
+    tables = {}
+    for node, found in rows.items():
+        if not found:
             raise GraphFormatError(f"missing CPT for {node}")
-        holes = int((~filled[node]).sum())
+        holes = math.prod(cards[p] for p in dag.parents(node)) - len(found)
         if holes:
             raise GraphFormatError(
                 f"CPT for {node} is missing {holes} parent configuration(s)"
             )
+        tables[node] = np.array([found[j] for j in range(len(found))])
     return BnModel(dag, cards, tables)
 
 
@@ -301,6 +315,8 @@ def _config_index(
                 raise GraphFormatError(
                     f"expected 'parent=value' pairs, got {pair.strip()!r}", lineno
                 )
+            if name in assignments:
+                raise GraphFormatError(f"parent {name} is assigned twice", lineno)
             try:
                 assignments[name] = int(value)
             except ValueError:
@@ -324,9 +340,7 @@ def _config_index(
 
 
 def serialize_model(model: BnModel) -> str:
-    lines = [f"node {name} {model.cardinality(name)}" for name in model.nodes]
-    for edge in model.dag.edges:
-        lines.append(f"{edge.a} {edge_token(edge)} {edge.b}")
+    cpts = []
     for node in model.nodes:
         parents = model.parents(node)
         table = model.cpt(node)
@@ -334,8 +348,8 @@ def serialize_model(model: BnModel) -> str:
             config = ",".join(f"{p}={v}" for p, v in zip(parents, combo))
             probs = " ".join(_format_float(p) for p in table[j])
             middle = f"| {config} " if config else "| "
-            lines.append(f"cpt {node} {middle}: {probs}")
-    return "\n".join(lines) + "\n"
+            cpts.append(f"cpt {node} {middle}: {probs}\n")
+    return serialize_graph(model.dag, model.cardinalities) + "".join(cpts)
 
 
 @dataclass(frozen=True)
@@ -352,67 +366,25 @@ def parse_latentized(text: str) -> LatentizedDag:
 
 
 def parse_latentized_file(text: str) -> LatentizedFile:
-    scan = _scan(text)
-    if scan.cpts:
-        raise GraphFormatError("unexpected 'cpt' line", scan.cpts[0][0])
-    if not scan.nodes:
-        raise GraphFormatError("no node declarations found")
-    for lineno, _a, _b, ma, mb in scan.edges:
-        if {ma, mb} != {Mark.TAIL, Mark.ARROW}:
-            raise GraphFormatError("latentized-DAG edges must be directed", lineno)
-    latent_names = {latent.name for _l, latent in scan.latents}
-    for name, (card, _labels, lineno) in scan.nodes.items():
-        if name.startswith(RESERVED_PREFIX) and name not in latent_names:
-            raise GraphFormatError(
-                f"node {name!r} uses the reserved '{RESERVED_PREFIX}' prefix but has no "
-                f"latent declaration",
-                lineno,
-            )
-    for lineno, latent in scan.latents:
-        declared = scan.nodes.get(latent.name)
-        if declared is not None and declared[0] != latent.states:
-            raise GraphFormatError(
-                f"latent {latent.name} declares {latent.states} states but "
-                f"node line says {declared[0]}",
-                lineno,
-            )
-        if declared is None:
-            scan.nodes[latent.name] = (latent.states, (), lineno)
-    dag = _build_graph(scan, GraphKind.DAG)
-    require_valid(dag, GraphKind.DAG, "parsed graph")
+    scan, dag = _read(text, GraphKind.DAG, "latent")
     spec = LatentSpec(tuple(latent for _l, latent in scan.latents))
     lines = {latent.name: lineno for lineno, latent in scan.latents}
     for latent, problem in placement_problems(dag, spec):
         raise GraphFormatError(problem, lines[latent.name])
     model = LatentizedDag(dag, spec)
-    cards = {
-        name: card
-        for name, (card, _labels, _l) in scan.nodes.items()
-        if name in model.observed
-    }
-    labels = {
-        name: lbls
-        for name, (_card, lbls, _l) in scan.nodes.items()
-        if lbls and name in model.observed
-    }
-    return LatentizedFile(model, cards, labels)
+    return LatentizedFile(model, *_declared(scan, model.observed))
 
 
 def serialize_latentized(
     model: LatentizedDag, cardinalities: Mapping[str, int]
 ) -> str:
     cards = dict(cardinalities)
+    lines = []
     for latent in model.spec.latents:
         cards[latent.name] = latent.states
-    lines = [f"node {name} {cards[name]}" for name in model.dag.nodes]
-    for edge in model.dag.edges:
-        lines.append(f"{edge.a} {edge_token(edge)} {edge.b}")
-    for latent in model.spec.latents:
         children = " ".join(latent.children)
-        lines.append(
-            f"latent {latent.name} states {latent.states} children {children}"
-        )
-    return "\n".join(lines) + "\n"
+        lines.append(f"latent {latent.name} states {latent.states} children {children}\n")
+    return serialize_graph(model.dag, cards) + "".join(lines)
 
 
 def parse_data(
@@ -424,11 +396,13 @@ def parse_data(
     names: List[str] = []
     columns: List[List[int]] = []
     label_maps: Dict[str, Dict[str, int]] = {}
-    if labels:
-        label_maps = {
-            name: {label: i for i, label in enumerate(seq)}
-            for name, seq in labels.items()
-        }
+    for name, seq in (labels or {}).items():
+        misread = _misread_label(seq)
+        if misread is not None:
+            raise GraphFormatError(
+                f"column {name} label {misread!r} reads as another state's index"
+            )
+        label_maps[name] = {label: i for i, label in enumerate(seq)}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):

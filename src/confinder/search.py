@@ -1,7 +1,7 @@
 """Model selection over latentized DAGs.
 
 ``run_search`` is the one search frame. It validates the PAG, opens a
-scoring session (clock, fit cache, trace, incumbent best), runs the walk
+scoring session (clock, fit memo, trace, incumbent best), runs the walk
 the config's strategy selects, greedily grows the latent cardinalities of
 the model the walk returns (judged on the p-ELBO, like every other
 comparison) and reports the best model over everything visited. The two
@@ -179,16 +179,16 @@ def model_id(model: LatentizedDag) -> str:
 
 
 class _Session:
-    """Shared scoring state: clock, caches, trace, and incumbent best.
+    """Shared scoring state: clock, fit memo, trace, and incumbent best.
 
-    Scored models are memoized by model fingerprint; a cache hit is a
-    reuse, not a new visit, so it adds no trace entry. Every new model is
-    one ``run_vbem`` call with the session's ``memo``, which keeps each
-    latent-free family's score by (node, parents), each latent component's
-    fit by its label-free key, and the distinct rows of each column set. A
-    component shared by several models is thus fitted once, and, since
+    The session's ``memo`` is its one fit store. It keeps each latent-free
+    family's score by (node, parents), each latent component's fit by its
+    label-free key, and the distinct rows of each column set. Every scored
+    model is one ``run_vbem`` call with it, so a component shared by
+    several models is fitted once, a repeated model is a lookup, and, since
     all fits take the same seed, a model scores the same whatever was
-    scored before it.
+    scored before it. A model already in the trace is a reuse, not a new
+    visit: it adds no entry and leaves the incumbent as it was.
     """
 
     def __init__(self, data: Dataset, cfg: SearchConfig):
@@ -199,7 +199,6 @@ class _Session:
         self.started = time.monotonic()
         self.deadline = self.started + cfg.budget_seconds
         self.entries: List[TraceEntry] = []
-        self.cache: Dict[str, ScoredModel] = {}
         self.best: Optional[ScoredModel] = None
         self.budget_hit = False
 
@@ -214,9 +213,6 @@ class _Session:
 
     def score(self, model: LatentizedDag) -> ScoredModel:
         fingerprint = model_id(model)
-        cached = self.cache.get(fingerprint)
-        if cached is not None:
-            return cached
         state, report = run_vbem(
             model,
             self.data,
@@ -235,12 +231,12 @@ class _Session:
             stratum=model.source_mag.bidirected_count if model.source_mag else 0,
             model_id=fingerprint,
         )
-        self.cache[fingerprint] = scored
-        self.entries.append(
-            TraceEntry(scored.stratum, fingerprint, report.p_elbo, self.elapsed())
-        )
-        if self.best is None or scored.p_elbo > self.best.p_elbo:
-            self.best = scored
+        if all(entry.model_id != fingerprint for entry in self.entries):
+            self.entries.append(
+                TraceEntry(scored.stratum, fingerprint, report.p_elbo, self.elapsed())
+            )
+            if self.best is None or scored.p_elbo > self.best.p_elbo:
+                self.best = scored
         return scored
 
     def trace(self, stop_reason: str) -> SearchTrace:

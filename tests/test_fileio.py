@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from confinder.bn import BnModel
 from confinder.errors import GraphFormatError
 from confinder.fileio import (
     parse_data,
@@ -29,7 +30,7 @@ from confinder.latentize import latentize_min
 from confinder.search import ScoredModel, SearchTrace, TraceEntry
 from confinder.vbem import Dataset
 
-from oracles import random_mag
+from oracles import random_dag, random_mag
 
 MODEL_TEXT = """\
 node A 2
@@ -118,6 +119,24 @@ class TestGraphParsing:
         again = parse_mag(text)
         assert again == mag
         assert serialize_graph(again, cards) == text
+        # the other two formats share the node and edge lines: a labelled
+        # graph, the MAG's latentized DAG and a model over a random DAG
+        # serialize, parse and serialize again to the same bytes
+        rng = random.Random(seed)
+        labels = {"V0": ("no", "yes"), "V3": ("0", "1")}
+        text = serialize_graph(mag, cards, labels)
+        gf = parse_graph_file(text, GraphKind.MAG)
+        assert gf.labels == labels
+        assert serialize_graph(gf.graph, gf.cardinalities, gf.labels) == text
+        model = latentize_min(mag)
+        model = model.with_states({name: rng.randint(2, 4) for name in model.spec.names})
+        text = serialize_latentized(model, cards)
+        assert serialize_latentized(parse_latentized(text), cards) == text
+        dag = random_dag(rng, 5)
+        draw = np.random.default_rng(seed)
+        cpts = {n: draw.dirichlet([0.5, 0.5], size=2 ** len(dag.parents(n))) for n in dag.nodes}
+        text = serialize_model(BnModel(dag, cards, cpts))
+        assert serialize_model(parse_model(text)) == text
 
 
 class TestModelFiles:
@@ -155,6 +174,18 @@ class TestModelFiles:
         with pytest.raises(GraphFormatError, match="unknown node 'Z'"):
             parse_model(MODEL_TEXT + "cpt Z | : 0.5 0.5\n")
 
+    def test_a_parent_assigned_twice_is_refused(self):
+        with pytest.raises(GraphFormatError, match="line 5.*parent A is assigned twice"):
+            parse_model(
+                "node A 2\nnode B 2\nA --> B\ncpt A | : 0.3 0.7\n"
+                "cpt B | A=0,A=1 : 0.2 0.8\ncpt B | A=0 : 1 0\n"
+            )
+
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf", "NaN", "Infinity"])
+    def test_non_finite_probabilities_are_refused_at_their_line(self, token):
+        with pytest.raises(GraphFormatError, match=f"line 2.*probability '{token}' is not finite"):
+            parse_model(f"node A 2\ncpt A | : {token} 0.5\n")
+
     def test_missing_cpts_detected(self):
         with pytest.raises(GraphFormatError, match="missing CPT for B"):
             parse_model("node A 2\nnode B 2\nA --> B\ncpt A | : 0.3 0.7\n")
@@ -185,6 +216,53 @@ class TestModelFiles:
         assert model.cpt("C")[1].tolist() == [0.9, 0.1]
         assert model.cpt("C")[3].tolist() == [0.7, 0.3]
         assert serialize_model(model) == text
+
+
+def _dag_graph_file(text):
+    return parse_graph_file(text, GraphKind.DAG).graph
+
+
+# the three graph-family formats, as DAG formats, with the line kinds they refuse
+FORMATS = {
+    "graph": (_dag_graph_file, ("latent _L1 states 2 children A B", "cpt A | : 0.5 0.5")),
+    "model": (parse_model, ("latent _L1 states 2 children A B",)),
+    "latentized": (parse_latentized, ("cpt A | : 0.5 0.5",)),
+}
+
+
+class TestSharedRules:
+    """Each rule of the shared reader fires in each format, at its line."""
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_unknown_endpoint(self, fmt):
+        with pytest.raises(GraphFormatError, match="line 4: unknown node 'C'"):
+            FORMATS[fmt][0]("node A 2\nnode B 2\nA --> B\nA --> C\n")
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_second_edge(self, fmt):
+        with pytest.raises(GraphFormatError, match="line 4: second edge between A and B"):
+            FORMATS[fmt][0]("node A 2\nnode B 2\nA --> B\nB --> A\n")
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_reserved_name(self, fmt):
+        with pytest.raises(GraphFormatError, match="line 3: node '_B' uses the reserved"):
+            FORMATS[fmt][0]("node A 2\n# a comment\nnode _B 2\n")
+
+    @pytest.mark.parametrize(
+        "fmt, line", [(fmt, line) for fmt, (_parse, foreign) in FORMATS.items() for line in foreign]
+    )
+    def test_unexpected_line_kind(self, fmt, line):
+        kind = line.split()[0]
+        with pytest.raises(GraphFormatError, match=f"line 3: unexpected '{kind}' line"):
+            FORMATS[fmt][0](f"node A 2\nnode B 2\n{line}\nA --> B\n")
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    @pytest.mark.parametrize(
+        "token", ["<->", "o-o", "o->", "---"], ids=["bidirected", "circles", "circle-arrow", "tails"]
+    )
+    def test_undirected_edge_in_a_dag_format(self, fmt, token):
+        with pytest.raises(GraphFormatError, match="line 4: DAG edges must be directed"):
+            FORMATS[fmt][0](f"node A 2\nnode B 2\nnode C 2\nA {token} B\nB --> C\n")
 
 
 class TestDataFiles:
@@ -226,6 +304,18 @@ class TestDataFiles:
         assert data.column("A").tolist() == [0, 1]
         # canonical serialization always writes indices
         assert serialize_data(data) == "A,B\n0,1\n1,0\n"
+
+    def test_labels_that_read_as_another_state_are_refused(self):
+        # the data cell 0 would read as state 0, not the state labelled 0
+        with pytest.raises(GraphFormatError, match="line 2.*label '1' reads as another"):
+            parse_pag("node B 2\nnode A 2 1 0\n")
+        with pytest.raises(GraphFormatError, match="line 1.*label '7' reads as another"):
+            parse_pag("node A 2 no 7\n")
+        with pytest.raises(GraphFormatError, match="column A label '1' reads as another"):
+            parse_data("A,B\n0,1\n", labels={"A": ("1", "0")})
+        gf = parse_graph_file("node A 3 0 one 2\n", GraphKind.PAG)
+        data = parse_data("A\n0\none\n2\n1\n", labels=gf.labels)
+        assert data.column("A").tolist() == [0, 1, 2, 1]
 
     def test_unknown_label_rejected(self):
         with pytest.raises(GraphFormatError, match="invalid value 'maybe'"):

@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 
 import confinder.latentize
 import confinder.magspace
+from confinder.bn import BnModel, forward_sample
 from confinder.errors import BudgetError, ConstructionError, InconsistentStateError
+from confinder.experiment import derive_true_pag
 from confinder.graphs import Edge, GraphKind, MixedGraph
 from confinder.latentize import latentize_min
 from confinder.magspace import enumerate_mags, orientation_neighbors, pag_of_mag, reference_mag
@@ -599,6 +601,44 @@ class TestComponentMemo:
                     assert np.array_equal(scored.state.q_latent[name], q)
         # the stratum-1 members share every fitted part with the others
         assert len(forward.memo.components) < sum(len(m.spec) for m in models)
+
+
+def network_297():
+    """V0 -> V3 <- V2, V0 -> V4 <- V1 and hidden U -> {V3, V4}, all binary,
+    with Dirichlet(0.5) CPTs and 400 rows from seed 297: hill climbing meets
+    three of its models a second time."""
+    nodes = ("V0", "V1", "V2", "V3", "V4", "U")
+    pairs = (("V0", "V3"), ("V2", "V3"), ("V0", "V4"), ("V1", "V4"), ("U", "V3"), ("U", "V4"))
+    dag = MixedGraph(GraphKind.DAG, nodes, tuple(Edge.directed(a, b) for a, b in pairs))
+    rng = np.random.default_rng(297)
+    cpts = {n: rng.dirichlet([0.5, 0.5], size=2 ** len(dag.parents(n))) for n in nodes}
+    model = BnModel(dag, dict.fromkeys(nodes, 2), cpts)
+    return derive_true_pag(model, "U"), forward_sample(model, 400, 297, ("U",))
+
+
+class TestRepeatedModels:
+    def test_a_repeated_model_refits_nothing_and_adds_no_entry(self, monkeypatch):
+        scored, bound = [], []
+        score, bind = _Session.score, vbem._Component.bind
+
+        def counted_score(self, model):
+            scored.append(model_id(model))
+            return score(self, model)
+
+        def counted_bind(self, *args):
+            bound.append(self.key)
+            return bind(self, *args)
+
+        monkeypatch.setattr(_Session, "score", counted_score)
+        monkeypatch.setattr(vbem._Component, "bind", counted_bind)
+        pag, data = network_297()
+        best, trace = run_search(pag, data, SearchConfig(strategy=Strategy.HCLCV))
+        assert (len(scored), len(set(scored))) == (14, 11)
+        assert [e.model_id for e in trace.entries] == list(dict.fromkeys(scored))
+        assert len(bound) == len(set(bound))
+        assert trace.stop_reason == "local-maximum"
+        assert best.model_id == "20acd0b4dd"
+        assert best.p_elbo == pytest.approx(-622.8329178472645, rel=1e-9, abs=0.0)
 
 
 def two_pair_instance():
