@@ -23,14 +23,7 @@ from typing import Dict, Optional
 
 from confinder import fileio
 from confinder.bn import forward_sample
-from confinder.errors import (
-    BudgetError,
-    ConfinderError,
-    ConstructionError,
-    DataBindingError,
-    GraphFormatError,
-    InconsistentStateError,
-)
+from confinder.errors import BudgetError, InconsistentStateError
 from confinder.graphs import GraphKind
 from confinder.latentize import latentize_min
 from confinder.magspace import enumerate_mags
@@ -193,14 +186,14 @@ def _load_search_inputs(args: argparse.Namespace):
         cardinalities=gf.cardinalities,
         labels=gf.labels,
     )
-    return gf.graph, data
+    return gf, data
 
 
 def _cmd_learn(args: argparse.Namespace) -> int:
-    pag, data = _load_search_inputs(args)
+    gf, data = _load_search_inputs(args)
     cfg = _config_from(args)
     started = time.monotonic()
-    best, trace = run_search(pag, data, cfg)
+    best, trace = run_search(gf.graph, data, cfg)
     seconds = time.monotonic() - started
 
     report: Dict[str, object] = {
@@ -224,8 +217,8 @@ def _cmd_learn(args: argparse.Namespace) -> int:
         )
     _write(args.output, fileio.serialize_report(report))
     if args.model_out:
-        cards = {name: card for name, card in data.variables}
-        _write(args.model_out, fileio.serialize_latentized(best.model, cards))
+        model = fileio.serialize_latentized(best.model, dict(data.variables), gf.labels)
+        _write(args.model_out, model)
     if args.trace_out:
         _write(
             args.trace_out,
@@ -284,14 +277,14 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 def _cmd_latentize(args: argparse.Namespace) -> int:
     gf = fileio.parse_graph_file(Path(args.mag).read_text(), GraphKind.MAG)
     model = latentize_min(gf.graph)
-    _write(args.output, fileio.serialize_latentized(model, gf.cardinalities))
+    _write(args.output, fileio.serialize_latentized(model, gf.cardinalities, gf.labels))
     return EXIT_OK
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
-    pag, data = _load_search_inputs(args)
+    gf, data = _load_search_inputs(args)
     cfg = _config_from(args)
-    _best, trace = run_search(pag, data, cfg)
+    _best, trace = run_search(gf.graph, data, cfg)
     _write(
         args.output,
         fileio.serialize_trace(trace, normalize_times=args.normalize_times),
@@ -320,18 +313,9 @@ def main(argv=None) -> int:
     except BudgetError as exc:
         print(f"budget: {exc}; no model was scored, so nothing is written", file=sys.stderr)
         return EXIT_BUDGET
-    except (
-        GraphFormatError,
-        DataBindingError,
-        ConstructionError,
-        ValueError,
-        OSError,
-    ) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except ConfinderError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
     except Exception as exc:  # pragma: no cover - safety net
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

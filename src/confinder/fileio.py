@@ -7,8 +7,9 @@ grammar, read by ``_read`` and written by ``serialize_graph``: ``node
 ``cpt <node> | <parent-config> : p1 p2 ...`` lines, latentized-DAG files
 ``latent <name> states <k> children ...`` lines. An error on a line names
 that line. Datasets are header-bearing CSV with integer state indices or
-the declared labels. Serializers emit a canonical form that parses back
-byte-identically.
+the declared labels. Counts and state indices are ASCII digits (a leading
+minus is read, then refused as negative). Serializers emit a canonical
+form that parses back byte-identically.
 """
 from __future__ import annotations
 
@@ -50,16 +51,19 @@ def _parse_marks(token: str, lineno: int) -> Tuple[Mark, Mark]:
     return _LEFT_MARKS[token[0]], _RIGHT_MARKS[token[2]]
 
 
+def _integer(token: str) -> Optional[int]:
+    """The integer ``token`` spells in ASCII digits after an optional minus,
+    else None; ``int()`` alone also takes ``+1``, ``1_0`` and other scripts'
+    digits."""
+    digits = token[1:] if token.startswith("-") else token
+    return int(token) if digits.isascii() and digits.isdigit() else None
+
+
 def _misread_label(labels: Sequence[str]) -> Optional[str]:
     """The first label that a data cell would read as another state: one
-    that parses as an integer other than its own state index."""
-    for i, label in enumerate(labels):
-        try:
-            if int(label) != i:
-                return label
-        except ValueError:
-            pass
-    return None
+    that spells an integer other than its own state index."""
+    return next((label for i, label in enumerate(labels) if _integer(label) not in (None, i)),
+                None)
 
 
 @dataclass(frozen=True)
@@ -113,9 +117,8 @@ def _scan_node(scan: _Scan, parts: Sequence[str], lineno: int) -> None:
     if len(parts) < 3:
         raise GraphFormatError("node lines need a name and a cardinality", lineno)
     name = parts[1]
-    try:
-        card = int(parts[2])
-    except ValueError:
+    card = _integer(parts[2])
+    if card is None:
         raise GraphFormatError(f"cardinality {parts[2]!r} is not an integer", lineno)
     if card < 2:
         raise GraphFormatError(f"node {name} needs at least 2 states", lineno)
@@ -143,9 +146,10 @@ def _scan_latent(scan: _Scan, parts: Sequence[str], lineno: int) -> None:
         raise GraphFormatError(
             "latent lines look like 'latent _L1 states 2 children X Y'", lineno
         )
-    try:
-        states = int(parts[3])
-    except ValueError:
+    if any(latent.name == parts[1] for _l, latent in scan.latents):
+        raise GraphFormatError(f"duplicate latent declaration {parts[1]!r}", lineno)
+    states = _integer(parts[3])
+    if states is None:
         raise GraphFormatError(f"state count {parts[3]!r} is not an integer", lineno)
     try:
         latent = Latent(parts[1], tuple(parts[5:]), states)
@@ -317,9 +321,8 @@ def _config_index(
                 )
             if name in assignments:
                 raise GraphFormatError(f"parent {name} is assigned twice", lineno)
-            try:
-                assignments[name] = int(value)
-            except ValueError:
+            assignments[name] = _integer(value.strip())
+            if assignments[name] is None:
                 raise GraphFormatError(
                     f"parent value {value.strip()!r} is not an integer", lineno
                 )
@@ -376,7 +379,9 @@ def parse_latentized_file(text: str) -> LatentizedFile:
 
 
 def serialize_latentized(
-    model: LatentizedDag, cardinalities: Mapping[str, int]
+    model: LatentizedDag,
+    cardinalities: Mapping[str, int],
+    labels: Optional[Mapping[str, Sequence[str]]] = None,
 ) -> str:
     cards = dict(cardinalities)
     lines = []
@@ -384,7 +389,7 @@ def serialize_latentized(
         cards[latent.name] = latent.states
         children = " ".join(latent.children)
         lines.append(f"latent {latent.name} states {latent.states} children {children}\n")
-    return serialize_graph(model.dag, cards) + "".join(lines)
+    return serialize_graph(model.dag, cards, labels) + "".join(lines)
 
 
 def parse_data(
@@ -427,9 +432,8 @@ def parse_data(
                 f"expected {len(names)} values, got {len(cells)}", lineno
             )
         for i, (name, cell) in enumerate(zip(names, cells)):
-            try:
-                value = int(cell)
-            except ValueError:
+            value = _integer(cell)
+            if value is None:
                 mapping = label_maps.get(name)
                 if mapping is None or cell not in mapping:
                     raise GraphFormatError(

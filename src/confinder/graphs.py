@@ -15,12 +15,13 @@ reachable as one bit per subset of the signature's scope.
 Graphs are immutable after construction and safe to share across workers;
 node identifiers are case-sensitive strings and all derived orderings are
 canonical (sorted by name) so that results are reproducible. What a graph
-derives from itself, its adjacency index, validity report, maximal
-augmentation and Markov-equivalence invariants, is a cached property of the
-graph, computed on first use and kept on the instance.
+derives from itself, its adjacency index, topological order, validity
+report, maximal augmentation and Markov-equivalence invariants, is a cached
+property of the graph, computed on first use and kept on the instance.
 """
 from __future__ import annotations
 
+import heapq
 import itertools
 from collections import deque
 from dataclasses import dataclass
@@ -191,7 +192,8 @@ class MixedGraph:
 
     # -- ancestry (directed edges only; <-> contributes no ancestry) -------
 
-    def ancestors(self, nodes: Iterable[str], include_self: bool = True) -> FrozenSet[str]:
+    def ancestors(self, nodes: Iterable[str]) -> FrozenSet[str]:
+        """``nodes`` (one name or several) and their ancestors."""
         seeds = {nodes} if isinstance(nodes, str) else set(nodes)
         idx = self._idx
         out = set(seeds)
@@ -201,34 +203,18 @@ class MixedGraph:
                 if p not in out:
                     out.add(p)
                     stack.append(p)
-        if not include_self:
-            out -= seeds
         return frozenset(out)
 
     def is_ancestor(self, x: str, y: str) -> bool:
         """True iff a directed path x --> ... --> y of length >= 1 exists."""
-        return x != y and x in self.ancestors({y}, include_self=False)
+        return x != y and x in self.ancestors(y)
 
     def topological_order(self) -> Tuple[str, ...]:
         """Canonical topological order over directed edges (ties by name)."""
-        idx = self._idx
-        indeg = {n: len(idx.parents[n]) for n in self.nodes}
-        ready = sorted(n for n in self.nodes if indeg[n] == 0)
-        order = []
-        while ready:
-            n = ready.pop(0)
-            order.append(n)
-            changed = False
-            for c in idx.children[n]:
-                indeg[c] -= 1
-                if indeg[c] == 0:
-                    ready.append(c)
-                    changed = True
-            if changed:
-                ready.sort()
-        if len(order) != len(self.nodes):
+        order, cycle = self._order
+        if cycle:
             raise ValueError("graph contains a directed cycle")
-        return tuple(order)
+        return order
 
     # -- derived graphs ----------------------------------------------------
 
@@ -252,6 +238,25 @@ class MixedGraph:
         return _Index(self)
 
     @cached_property
+    def _order(self) -> Tuple[Tuple[str, ...], Optional[Tuple[str, ...]]]:
+        """Kahn's order over directed edges (ties by name) and, when nodes
+        are left over, the cycle that a depth-first search from each node
+        in name order, children in name order, closes first: from the first
+        node that reaches a cycle, take the first child that does until the
+        trail meets itself. Peeling from the sinks up leaves those nodes."""
+        idx = self._idx
+        order = _kahn(self.nodes, idx.parents, idx.children)
+        if len(order) == len(self.nodes):
+            return order, None
+        reach = set(self.nodes) - set(_kahn(self.nodes, idx.children, idx.parents))
+        trail, n = [], min(reach)
+        while n not in trail:
+            trail.append(n)
+            n = next(c for c in idx.children[n] if c in reach)
+        cycle = trail[trail.index(n):]
+        return order, tuple(cycle + cycle[:1])
+
+    @cached_property
     def _valid(self) -> ValidityReport:
         return _check(self)
 
@@ -262,6 +267,23 @@ class MixedGraph:
     @cached_property
     def _inv(self) -> _Invariants:
         return _Invariants(self)
+
+
+def _kahn(nodes: Tuple[str, ...], before, after) -> Tuple[str, ...]:
+    """Kahn's pass, ties by name: each node once every node in its
+    ``before`` has come, followed along ``after``; a node on or past a
+    cycle never comes."""
+    waiting = {n: len(before[n]) for n in nodes}
+    ready = [n for n in nodes if not waiting[n]]  # sorted, so a heap
+    order = []
+    while ready:
+        n = heapq.heappop(ready)
+        order.append(n)
+        for m in after[n]:
+            waiting[m] -= 1
+            if not waiting[m]:
+                heapq.heappush(ready, m)
+    return tuple(order)
 
 
 class _Index:
@@ -311,34 +333,6 @@ class ValidityReport:
         return self.ok
 
 
-def _directed_cycle(g: MixedGraph) -> Optional[Tuple[str, ...]]:
-    """Return one directed cycle as a node tuple, or None."""
-    idx = g._idx
-    color = {n: 0 for n in g.nodes}  # 0 new, 1 active, 2 done
-    trail: list = []
-
-    def visit(n):
-        color[n] = 1
-        trail.append(n)
-        for c in idx.children[n]:
-            if color[c] == 1:
-                return tuple(trail[trail.index(c):]) + (c,)
-            if color[c] == 0:
-                found = visit(c)
-                if found:
-                    return found
-        trail.pop()
-        color[n] = 2
-        return None
-
-    for n in g.nodes:
-        if color[n] == 0:
-            found = visit(n)
-            if found:
-                return found
-    return None
-
-
 def require_valid(graph: MixedGraph, kind: GraphKind, what: str) -> None:
     """Raise ValueError unless the graph has the given kind and is valid."""
     if graph.kind is not kind:
@@ -373,20 +367,15 @@ def _check(graph: MixedGraph) -> ValidityReport:
         for e in graph.edges:
             if not e.is_directed:
                 v.append(f"non-directed edge between {e.a} and {e.b} in a DAG")
-        cycle = _directed_cycle(graph)
-        if cycle:
-            v.append("directed cycle " + " -> ".join(cycle))
-        return ValidityReport(tuple(v))
-
-    if graph.kind is GraphKind.MAG:
+    elif graph.kind is GraphKind.MAG:
         for e in graph.edges:
             if Mark.CIRCLE in (e.mark_a, e.mark_b):
                 v.append(f"circle mark between {e.a} and {e.b} in a MAG")
 
-    cycle = _directed_cycle(graph)
+    cycle = graph._order[1]
     if cycle:
         v.append("directed cycle " + " -> ".join(cycle))
-    else:
+    elif graph.kind is not GraphKind.DAG:
         for a, b in graph.bidirected_edges():
             if graph.is_ancestor(a, b):
                 v.append(f"almost-directed cycle: {a} is an ancestor of {b} with {a} <-> {b}")

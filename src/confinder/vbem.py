@@ -172,20 +172,14 @@ class Dataset:
 
 @dataclass(frozen=True, eq=False)
 class FamilyPrior:
-    """Dirichlet hyperparameters: every entry of every family's
-    (parent configuration x state) table is the scalar ``alpha``.
+    """The unit prior: ``ALPHA`` on every entry of every family's
+    (parent configuration x state) table.
 
-    Fits always use ``ALPHA``. Only the public ``vb_m_step`` and ``elbo``
-    take a prior, because the benchmark child (``perfbench/child.py``)
-    still times them with ``SearchConfig.prior()``; this class goes once
-    that caller stops passing one.
+    Only the public ``vb_m_step`` and ``elbo`` take one, as a ``prior``
+    argument that can carry nothing else, because the benchmark child
+    (``perfbench/child.py``) still passes them ``SearchConfig.prior()``;
+    the class goes with those public steps.
     """
-
-    alpha: float = ALPHA
-
-    def __post_init__(self):
-        if not (self.alpha > 0):
-            raise ValueError("alpha must be positive")
 
 
 @dataclass(eq=False)
@@ -266,13 +260,13 @@ class _Family:
     member varying fastest) and every row, the flat index into the (parent
     configuration x state) table, of shape ``table_shape``, that the row
     lands in. A latent root thus has the rows 0..k-1 and a latent-free
-    family a single row; its posterior table, the counts plus ``alpha``,
+    family a single row; its posterior table, the counts plus ``ALPHA``,
     is a constant of the binding.
     """
 
     __slots__ = ("node", "members", "shape", "table_shape", "cells", "static_posterior")
 
-    def __init__(self, node, parents, cards, columns, weights, rank, alpha: float):
+    def __init__(self, node, parents, cards, columns, weights, rank):
         self.node = node
         card = cards[node]
         # each variable's weight in the flat (configuration, state) index
@@ -293,7 +287,7 @@ class _Family:
         if not self.members:
             counts = np.bincount(self.cells[0], weights=weights,
                                  minlength=math.prod(self.table_shape))
-            self.static_posterior = counts.reshape(self.table_shape) + alpha
+            self.static_posterior = counts.reshape(self.table_shape) + ALPHA
 
 
 def _member_operands(members, q_latent, skip=None) -> list:
@@ -394,16 +388,14 @@ class _Binding:
     families after those.
     """
 
-    def __init__(self, families, latents, cards, columns, weights: np.ndarray,
-                 alpha: float = ALPHA):
+    def __init__(self, families, latents, cards, columns, weights: np.ndarray):
         self.n_rows = len(weights)
         self.weights = weights
-        self.alpha = float(alpha)
         self.latent_names = tuple(latents)
         self.latent_cards = {l: cards[l] for l in self.latent_names}
         rank = {l: i for i, l in enumerate(self.latent_names)}
         self.families = {
-            node: _Family(node, parents, cards, columns, weights, rank, alpha)
+            node: _Family(node, parents, cards, columns, weights, rank)
             for node, parents in families
         }
         # families whose tables depend on the responsibilities
@@ -475,7 +467,7 @@ class _Binding:
         families = self.families.values()
         return sum(
             _log_beta(f.static_posterior) for f in families if f.static_posterior is not None
-        ) - sum(_log_beta(np.full(f.table_shape, self.alpha)) for f in families)
+        ) - sum(_log_beta(np.full(f.table_shape, ALPHA)) for f in families)
 
     # -- one pass over a batch: restarts x buffer cells ------------------------
 
@@ -485,7 +477,7 @@ class _Binding:
                 for node, span in self.layout.spans.items()}
 
     def m_step(self, q_latent) -> np.ndarray:
-        """``alpha`` plus expected counts for every dynamic table, as a pass
+        """``ALPHA`` plus expected counts for every dynamic table, as a pass
         buffer: one joint per member tuple, one weighted ``bincount`` over
         all restarts' cells, and the row sums."""
         restarts = len(q_latent[self.latent_names[0]])
@@ -505,7 +497,7 @@ class _Binding:
         counts = np.bincount(self.cell_index(restarts), weights=weights.ravel(),
                              minlength=restarts * size)
         buffer = np.empty((restarts, self.layout.size))
-        np.add(counts.reshape(restarts, size), self.alpha, out=buffer[:, :size])
+        np.add(counts.reshape(restarts, size), ALPHA, out=buffer[:, :size])
         return self.layout.add_row_sums(buffer)
 
     def bound(self, buffer: np.ndarray, q_latent) -> np.ndarray:
@@ -619,7 +611,7 @@ def _check_columns(model: LatentizedDag, data: Dataset) -> None:
 
 
 def _bind_model(model: LatentizedDag, data: Dataset, rows: np.ndarray,
-                weights: np.ndarray, alpha: float = ALPHA) -> _Binding:
+                weights: np.ndarray) -> _Binding:
     """The whole model bound to ``rows``, a table in the dataset's column
     order: families in node-name order, latents swept in name order."""
     _check_columns(model, data)
@@ -627,13 +619,11 @@ def _bind_model(model: LatentizedDag, data: Dataset, rows: np.ndarray,
     cards.update((l.name, l.states) for l in model.spec.latents)
     columns = {name: rows[:, i] for i, name in enumerate(data.names)}
     families = [(node, model.dag.parents(node)) for node in sorted(model.dag.nodes)]
-    return _Binding(families, sorted(model.spec.names), cards, columns, weights, alpha)
+    return _Binding(families, sorted(model.spec.names), cards, columns, weights)
 
 
-def _bind_every_row(model: LatentizedDag, data: Dataset,
-                    prior: Optional[FamilyPrior] = None) -> _Binding:
-    return _bind_model(model, data, data.rows, np.ones(data.n_rows),
-                       (prior or FamilyPrior()).alpha)
+def _bind_every_row(model: LatentizedDag, data: Dataset) -> _Binding:
+    return _bind_model(model, data, data.rows, np.ones(data.n_rows))
 
 
 def _check_fixed_point(binding, q_theta, q_batch) -> None:
@@ -960,11 +950,12 @@ def vb_m_step(
     q_latent: Mapping[str, np.ndarray],
     prior: Optional[FamilyPrior] = None,
 ) -> Dict[str, np.ndarray]:
-    """Posterior Dirichlet parameters: prior plus expected counts.
+    """Posterior Dirichlet parameters: ``ALPHA`` plus expected counts.
 
-    ``prior`` defaults to the fits' ``ALPHA``; see ``FamilyPrior``.
+    ``prior`` can only be the unit prior, ``FamilyPrior()``, which is
+    ``ALPHA`` whether passed or not.
     """
-    binding = _bind_every_row(model, data, prior)
+    binding = _bind_every_row(model, data)
     binding.check_q_latent(q_latent)
     return binding.fixed_point(_rows_last(binding, q_latent))
 
@@ -980,9 +971,9 @@ def elbo(
     Refuses (InconsistentStateError) when ``state.q_theta`` is not the VB-M
     update of ``state.q_latent``: away from the fixed point this formula is
     not the bound, and silently returning it would corrupt every comparison
-    built on top. ``prior`` is as in ``vb_m_step``.
+    built on top. ``prior`` is as in ``vb_m_step``: only the unit prior.
     """
-    binding = _bind_every_row(model, data, prior)
+    binding = _bind_every_row(model, data)
     binding.check_q_theta(state.q_theta)
     binding.check_q_latent(state.q_latent)
     batch = _rows_last(binding, state.q_latent)

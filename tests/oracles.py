@@ -778,7 +778,7 @@ def _m_step(binding, q_latent) -> Dict[str, np.ndarray]:
             _batch_cells(family, restarts), weights=joint.ravel(),
             minlength=restarts * math.prod(family.table_shape),
         )
-        q_theta[family.node] = counts.reshape(restarts, *family.table_shape) + binding.alpha
+        q_theta[family.node] = counts.reshape(restarts, *family.table_shape) + vbem.ALPHA
     return q_theta
 
 
@@ -806,7 +806,7 @@ def per_family_constant(binding) -> float:
     families = binding.families.values()
     return sum(
         log_beta(f.static_posterior) for f in families if f.static_posterior is not None
-    ) - sum(log_beta(np.full(f.table_shape, binding.alpha)) for f in families)
+    ) - sum(log_beta(np.full(f.table_shape, vbem.ALPHA)) for f in families)
 
 
 def per_family_vbem(

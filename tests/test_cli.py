@@ -326,6 +326,27 @@ class TestScore:
         assert float(report["p_elbo"]) < float(report["elbo"])
 
 
+class TestLabels:
+    PAG = "node A 2 no yes\nnode B 2\nnode C 2\nA o-> B\nB <-> C\n"
+
+    def test_learned_model_keeps_labels_and_scores_the_same_data(self, tmp_path, capsys):
+        (tmp_path / "labelled.pag").write_text(self.PAG)
+        rng = random.Random(5)
+        rows = [f"{rng.choice(('no', 'yes'))},{rng.randrange(2)},{rng.randrange(2)}"
+                for _ in range(200)]
+        (tmp_path / "labelled.csv").write_text("A,B,C\n" + "\n".join(rows) + "\n")
+        model, data = str(tmp_path / "learned.model"), str(tmp_path / "labelled.csv")
+        assert main(["learn", str(tmp_path / "labelled.pag"), data, "--model-out", model]) == EXIT_OK
+        assert "node A 2 no yes\n" in (tmp_path / "learned.model").read_text()
+        assert main(["score", model, data]) == EXIT_OK
+        assert capsys.readouterr().err == ""
+
+    def test_latentize_keeps_labels(self, tmp_path, capsys):
+        (tmp_path / "labelled.mag").write_text("node A 2 no yes\nnode B 2\nA <-> B\n")
+        assert main(["latentize", str(tmp_path / "labelled.mag")]) == EXIT_OK
+        assert "node A 2 no yes\n" in capsys.readouterr().out
+
+
 class TestEnumerateAndLatentize:
     def test_enumerate_blocks_parse_back(self, workdir, capsys):
         code = main(["enumerate-mags", str(workdir / "true.pag")])

@@ -1,5 +1,6 @@
 """Text format round trips and parse errors with line numbers."""
 import random
+import re
 
 import numpy as np
 import pytest
@@ -265,6 +266,28 @@ class TestSharedRules:
             FORMATS[fmt][0](f"node A 2\nnode B 2\nnode C 2\nA {token} B\nB --> C\n")
 
 
+# each text site that reads a count or a state index: a parse of a text with
+# the token there, and the refusal that names the token's line
+INTEGER_SITES = {
+    "cardinality": (lambda t: parse_pag(f"node A {t}\n"),
+                    "line 1: cardinality '{}' is not an integer"),
+    "state-count": (lambda t: parse_latentized(f"node A 2\nnode B 2\nlatent _L1 states {t} children A B\n"),
+                    "line 3: state count '{}' is not an integer"),
+    "parent-value": (lambda t: parse_model(MODEL_TEXT.replace("A=1", f"A={t}")),
+                     "line 6: parent value '{}' is not an integer"),
+    "data-cell": (lambda t: parse_data(f"A,B\n0,1\n{t},1\n"),
+                  "line 3: invalid value '{}' for column A"),
+}
+
+
+@pytest.mark.parametrize("site", INTEGER_SITES)
+@pytest.mark.parametrize("token", ["1_0", "+1", "\u0661"], ids=["underscore", "plus", "arabic-indic"])
+def test_counts_and_state_indices_are_ascii_digits(site, token):
+    parse, message = INTEGER_SITES[site]
+    with pytest.raises(GraphFormatError, match=re.escape(message.format(token))):
+        parse(token)
+
+
 class TestDataFiles:
     def test_round_trip(self):
         data = Dataset(
@@ -316,6 +339,12 @@ class TestDataFiles:
         gf = parse_graph_file("node A 3 0 one 2\n", GraphKind.PAG)
         data = parse_data("A\n0\none\n2\n1\n", labels=gf.labels)
         assert data.column("A").tolist() == [0, 1, 2, 1]
+
+    def test_a_label_that_is_not_ascii_digits_is_a_label(self):
+        # '+1' spells no state index, so it does not read as state 1
+        gf = parse_graph_file("node A 2 +1 no\n", GraphKind.PAG)
+        data = parse_data("A\n+1\nno\n1\n", labels=gf.labels)
+        assert data.column("A").tolist() == [0, 1, 1]
 
     def test_unknown_label_rejected(self):
         with pytest.raises(GraphFormatError, match="invalid value 'maybe'"):
@@ -373,6 +402,17 @@ class TestLatentizedFiles:
             parse_latentized("node A 2\nlatent _L1 children A\n")
         with pytest.raises(GraphFormatError, match="line 2"):
             parse_latentized("node A 2\nlatent _L1 states 2 children A\n")
+
+    def test_second_latent_line_for_a_name_reports_line(self):
+        text = self.latentized_text() + "latent _L1 states 2 children X1 X2\n"
+        with pytest.raises(GraphFormatError, match="line 12: duplicate latent declaration '_L1'"):
+            parse_latentized(text)
+
+    def test_labels_round_trip(self):
+        text = self.latentized_text().replace("node X1 2", "node X1 2 no yes")
+        lf = parse_latentized_file(text)
+        assert lf.labels == {"X1": ("no", "yes")}
+        assert serialize_latentized(lf.model, lf.cardinalities, lf.labels) == text
 
     def test_plain_dag_parses_with_empty_spec(self):
         model = parse_latentized("node A 2\nnode B 2\nA --> B\n")

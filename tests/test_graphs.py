@@ -77,7 +77,7 @@ def test_nodes_and_edges_are_sorted():
 def test_ancestors_and_descendants():
     g = dag("ABCD", Edge.directed("A", "B"), Edge.directed("B", "C"), Edge.directed("D", "C"))
     assert g.ancestors({"C"}) == {"A", "B", "C", "D"}
-    assert g.ancestors({"C"}, include_self=False) == {"A", "B", "D"}
+    assert g.ancestors({"C"}) - {"C"} == {"A", "B", "D"}
     assert g.is_ancestor("A", "C")
     assert not g.is_ancestor("C", "A")
     assert not g.is_ancestor("A", "A")
@@ -106,6 +106,15 @@ def test_directed_cycle_is_a_violation():
     report = validate(g)
     assert not report.ok
     assert any("cycle" in v for v in report.violations)
+
+
+def test_a_cycle_entered_from_outside_is_named_and_has_no_order():
+    # D leads into the cycle, so Kahn's pass orders D and leaves the cycle
+    g = dag("ABCD", Edge.directed("D", "A"), Edge.directed("A", "B"),
+            Edge.directed("B", "C"), Edge.directed("C", "A"))
+    assert validate(g).violations == ("directed cycle A -> B -> C -> A",)
+    with pytest.raises(ValueError, match="directed cycle"):
+        g.topological_order()
 
 
 def test_almost_directed_cycle_is_a_violation():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 import time
@@ -15,6 +16,7 @@ from confinder import vbem
 from confinder.latentize import Latent, LatentSpec, LatentizedDag, latentize_min
 from confinder.vbem import (
     Dataset,
+    FamilyPrior,
     ScoreReport,
     VariationalState,
     elbo,
@@ -307,6 +309,27 @@ def test_elbo_refuses_inconsistent_state():
     )
     with pytest.raises(InconsistentStateError, match="VB-M"):
         elbo(model, data, tampered)
+
+
+def test_family_prior_has_no_field():
+    assert dataclasses.fields(FamilyPrior) == ()
+
+
+def test_public_steps_give_the_same_bits_with_and_without_the_unit_prior():
+    model = chain_model()
+    data = dataset_for(model, random.Random(3), 25)
+    gen = np.random.default_rng(3)
+    q_latent = {
+        l.name: gen.dirichlet(np.ones(l.states), size=data.n_rows)
+        for l in model.spec.latents
+    }
+    q_theta = vb_m_step(model, data, q_latent)
+    passed = vb_m_step(model, data, q_latent, FamilyPrior())
+    assert q_theta.keys() == passed.keys()
+    for node, table in q_theta.items():
+        assert np.array_equal(table, passed[node])
+    state = VariationalState(q_theta, q_latent)
+    assert elbo(model, data, state, FamilyPrior()) == elbo(model, data, state)
 
 
 def test_penalty_arithmetic():
