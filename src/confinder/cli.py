@@ -43,6 +43,14 @@ EXIT_BUDGET = 3
 EXIT_INTERNAL = 4
 
 
+def _integer_flag(token: str) -> int:
+    """An argparse type reading a count flag as the text formats read counts."""
+    value = fileio._integer(token)
+    if value is None:
+        raise argparse.ArgumentTypeError(f"{token!r} is not an integer in ASCII digits")
+    return value
+
+
 def _add_search_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--strategy",
@@ -52,7 +60,7 @@ def _add_search_flags(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--max-bidirected",
-        type=int,
+        type=_integer_flag,
         default=DEFAULT_MAX_BIDIRECTED,
         help=f"largest bi-directed-edge stratum to explore (default {DEFAULT_MAX_BIDIRECTED})",
     )
@@ -64,7 +72,7 @@ def _add_search_flags(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--max-states",
-        type=int,
+        type=_integer_flag,
         default=DEFAULT_MAX_STATES,
         help=f"cap on latent cardinality growth (default {DEFAULT_MAX_STATES})",
     )
@@ -76,11 +84,11 @@ def _add_search_flags(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--restarts",
-        type=int,
+        type=_integer_flag,
         default=DEFAULT_RESTARTS,
         help=f"VBEM random restarts per model (default {DEFAULT_RESTARTS})",
     )
-    parser.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
+    parser.add_argument("--seed", type=_integer_flag, default=0, help="master seed (default 0)")
 
 
 def _add_normalize_flag(parser: argparse.ArgumentParser) -> None:
@@ -119,8 +127,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sample", help="draw synthetic data from a model file")
     p.add_argument("model", help="ground-truth model file (nodes, edges, CPTs)")
-    p.add_argument("-n", "--samples", type=int, required=True, help="row count")
-    p.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
+    p.add_argument("-n", "--samples", type=_integer_flag, required=True, help="row count")
+    p.add_argument("--seed", type=_integer_flag, default=0, help="master seed (default 0)")
     p.add_argument(
         "--hide",
         action="append",
@@ -143,8 +151,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("model", help="latentized DAG (or plain DAG) file")
     p.add_argument("data", help="dataset CSV")
     p.add_argument("--threshold", type=float, default=DEFAULT_CONVERGENCE)
-    p.add_argument("--restarts", type=int, default=DEFAULT_RESTARTS)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--restarts", type=_integer_flag, default=DEFAULT_RESTARTS)
+    p.add_argument("--seed", type=_integer_flag, default=0)
     _add_normalize_flag(p)
     p.add_argument("-o", "--output", default=None, help="report file (default stdout)")
 

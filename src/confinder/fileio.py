@@ -5,17 +5,19 @@ grammar, read by ``_read`` and written by ``serialize_graph``: ``node
 <name> <cardinality> [label ...]`` lines, one edge per line (``A --> B``,
 ``A <-> B``, ``A o-> B``, ``A o-o B``) and ``#`` comments. Model files add
 ``cpt <node> | <parent-config> : p1 p2 ...`` lines, latentized-DAG files
-``latent <name> states <k> children ...`` lines. An error on a line names
-that line. Datasets are header-bearing CSV with integer state indices or
-the declared labels. Counts and state indices are ASCII digits (a leading
-minus is read, then refused as negative). Serializers emit a canonical
-form that parses back byte-identically.
+``latent <name> states <k> children ...`` lines. Datasets are
+header-bearing CSV with integer state indices or the declared labels.
+Every format skips blank and ``#`` lines, and an error names its line.
+Counts and indices are ASCII digits (``_integer``; a leading minus is read,
+then refused as negative), reals finite ASCII decimals (``_real``).
+Serializers emit a canonical form that parses back byte-identically.
 """
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -34,6 +36,8 @@ _LEFT_CHARS = {mark: char for char, mark in _LEFT_MARKS.items()}
 _RIGHT_CHARS = {mark: char for char, mark in _RIGHT_MARKS.items()}
 
 TRACE_HEADER = "stratum,model_id,p_elbo,seconds"
+
+_REAL = re.compile(r"-?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][-+]?[0-9]+)?")
 
 
 def _format_float(value) -> str:
@@ -57,6 +61,38 @@ def _integer(token: str) -> Optional[int]:
     digits."""
     digits = token[1:] if token.startswith("-") else token
     return int(token) if digits.isascii() and digits.isdigit() else None
+
+
+def _real(token: str) -> Optional[float]:
+    """The finite float ``token`` spells in ASCII decimals with an optional
+    minus, point and exponent, else None; ``float()`` alone also takes
+    ``+1``, ``1_0``, ``nan``, ``inf`` and other scripts' digits."""
+    if not _REAL.fullmatch(token):
+        return None
+    value = float(token)
+    return value if math.isfinite(value) else None
+
+
+def _integer_at(token: str, what: str, lineno: int) -> int:
+    value = _integer(token)
+    if value is None:
+        raise GraphFormatError(f"{what} {token!r} is not an integer", lineno)
+    return value
+
+
+def _real_at(token: str, what: str, lineno: int) -> float:
+    value = _real(token)
+    if value is None:
+        raise GraphFormatError(f"{what} {token!r} is not finite or not an ASCII decimal", lineno)
+    return value
+
+
+def _lines(text: str) -> Iterator[Tuple[int, str]]:
+    """Number and stripped text of each line that is not blank or a comment."""
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            yield lineno, line
 
 
 def _misread_label(labels: Sequence[str]) -> Optional[str]:
@@ -87,10 +123,7 @@ class _Scan:
 
 def _scan(text: str, takes: str) -> _Scan:
     scan = _Scan()
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in _lines(text):
         parts = line.split()
         if parts[0] in ("latent", "cpt") and parts[0] != takes:
             raise GraphFormatError(f"unexpected {parts[0]!r} line", lineno)
@@ -117,9 +150,7 @@ def _scan_node(scan: _Scan, parts: Sequence[str], lineno: int) -> None:
     if len(parts) < 3:
         raise GraphFormatError("node lines need a name and a cardinality", lineno)
     name = parts[1]
-    card = _integer(parts[2])
-    if card is None:
-        raise GraphFormatError(f"cardinality {parts[2]!r} is not an integer", lineno)
+    card = _integer_at(parts[2], "cardinality", lineno)
     if card < 2:
         raise GraphFormatError(f"node {name} needs at least 2 states", lineno)
     if name in scan.nodes:
@@ -148,9 +179,7 @@ def _scan_latent(scan: _Scan, parts: Sequence[str], lineno: int) -> None:
         )
     if any(latent.name == parts[1] for _l, latent in scan.latents):
         raise GraphFormatError(f"duplicate latent declaration {parts[1]!r}", lineno)
-    states = _integer(parts[3])
-    if states is None:
-        raise GraphFormatError(f"state count {parts[3]!r} is not an integer", lineno)
+    states = _integer_at(parts[3], "state count", lineno)
     try:
         latent = Latent(parts[1], tuple(parts[5:]), states)
     except ValueError as exc:
@@ -169,14 +198,7 @@ def _scan_cpt(scan: _Scan, line: str, lineno: int) -> None:
     node = head.strip()
     if not node:
         raise GraphFormatError("cpt line is missing the node name", lineno)
-    probs = []
-    for token in probs_text.split():
-        try:
-            probs.append(float(token))
-        except ValueError:
-            raise GraphFormatError(f"probability {token!r} is not a number", lineno)
-        if not math.isfinite(probs[-1]):
-            raise GraphFormatError(f"probability {token!r} is not finite", lineno)
+    probs = [_real_at(token, "probability", lineno) for token in probs_text.split()]
     if not probs:
         raise GraphFormatError("cpt line has no probabilities", lineno)
     scan.cpts.append((lineno, node, config.strip(), probs))
@@ -321,11 +343,7 @@ def _config_index(
                 )
             if name in assignments:
                 raise GraphFormatError(f"parent {name} is assigned twice", lineno)
-            assignments[name] = _integer(value.strip())
-            if assignments[name] is None:
-                raise GraphFormatError(
-                    f"parent value {value.strip()!r} is not an integer", lineno
-                )
+            assignments[name] = _integer_at(value.strip(), "parent value", lineno)
     if set(assignments) != set(parents):
         expected = ", ".join(parents) if parents else "(no parents)"
         raise GraphFormatError(
@@ -397,9 +415,9 @@ def parse_data(
     cardinalities: Optional[Mapping[str, int]] = None,
     labels: Optional[Mapping[str, Sequence[str]]] = None,
 ) -> Dataset:
-    header: Optional[List[str]] = None
-    names: List[str] = []
+    names: Optional[List[str]] = None
     columns: List[List[int]] = []
+    cards = cardinalities or {}
     label_maps: Dict[str, Dict[str, int]] = {}
     for name, seq in (labels or {}).items():
         misread = _misread_label(seq)
@@ -408,13 +426,9 @@ def parse_data(
                 f"column {name} label {misread!r} reads as another state's index"
             )
         label_maps[name] = {label: i for i, label in enumerate(seq)}
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in _lines(text):
         cells = [cell.strip() for cell in line.split(",")]
-        if header is None:
-            header = cells
+        if names is None:
             for name in cells:
                 if not name:
                     raise GraphFormatError("empty column name", lineno)
@@ -428,41 +442,29 @@ def parse_data(
             columns = [[] for _ in cells]
             continue
         if len(cells) != len(names):
-            raise GraphFormatError(
-                f"expected {len(names)} values, got {len(cells)}", lineno
-            )
+            raise GraphFormatError(f"expected {len(names)} values, got {len(cells)}", lineno)
         for i, (name, cell) in enumerate(zip(names, cells)):
             value = _integer(cell)
             if value is None:
                 mapping = label_maps.get(name)
                 if mapping is None or cell not in mapping:
-                    raise GraphFormatError(
-                        f"invalid value {cell!r} for column {name}", lineno
-                    )
+                    raise GraphFormatError(f"invalid value {cell!r} for column {name}", lineno)
                 value = mapping[cell]
             if value < 0:
+                raise GraphFormatError(f"negative state {value} for column {name}", lineno)
+            if value >= cards.get(name, math.inf):
                 raise GraphFormatError(
-                    f"negative state {value} for column {name}", lineno
+                    f"state {value} out of range for {name} (cardinality {cards[name]})", lineno
                 )
-            if cardinalities and name in cardinalities:
-                if value >= cardinalities[name]:
-                    raise GraphFormatError(
-                        f"state {value} out of range for {name} "
-                        f"(cardinality {cardinalities[name]})",
-                        lineno,
-                    )
             columns[i].append(value)
-    if header is None:
+    if names is None:
         raise GraphFormatError("no header line found")
-    if not columns or not columns[0]:
+    if not columns[0]:
         raise GraphFormatError("no data rows found")
-    variables = []
-    for i, name in enumerate(names):
-        if cardinalities and name in cardinalities:
-            card = cardinalities[name]
-        else:
-            card = max(2, max(columns[i]) + 1)
-        variables.append((name, card))
+    variables = [
+        (name, cards[name] if name in cards else max(2, max(column) + 1))
+        for name, column in zip(names, columns)
+    ]
     rows = np.column_stack([np.asarray(col, dtype=np.int64) for col in columns])
     return Dataset(tuple(variables), rows)
 
@@ -489,13 +491,10 @@ def serialize_report(items: Mapping[str, object]) -> str:
 
 def parse_report(text: str) -> Dict[str, str]:
     items = {}
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in _lines(text):
         key, sep, value = line.partition(":")
         if not sep:
-            continue
+            raise GraphFormatError("report lines look like 'key: value'", lineno)
         items[key.strip()] = value.strip()
     return items
 
@@ -512,17 +511,16 @@ def serialize_trace(trace: SearchTrace, normalize_times: bool = False) -> str:
 
 def parse_trace(text: str) -> Tuple[TraceEntry, ...]:
     entries = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line == TRACE_HEADER:
+    for lineno, line in _lines(text):
+        if line == TRACE_HEADER:
             continue
-        cells = line.split(",")
+        cells = [cell.strip() for cell in line.split(",")]
         if len(cells) != 4:
             raise GraphFormatError("trace rows have 4 comma-separated fields", lineno)
-        try:
-            entries.append(
-                TraceEntry(int(cells[0]), cells[1], float(cells[2]), float(cells[3]))
-            )
-        except ValueError as exc:
-            raise GraphFormatError(str(exc), lineno)
+        stratum = _integer_at(cells[0], "stratum", lineno)
+        if stratum < 0:
+            raise GraphFormatError(f"negative stratum {stratum}", lineno)
+        p_elbo = _real_at(cells[2], "p-ELBO", lineno)
+        seconds = _real_at(cells[3], "seconds", lineno)
+        entries.append(TraceEntry(stratum, cells[1], p_elbo, seconds))
     return tuple(entries)

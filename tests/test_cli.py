@@ -496,6 +496,27 @@ class TestExitCodes:
             )
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize(
+        "command, flag, token",
+        [
+            ("learn", "--restarts", "1_0"),
+            ("learn", "--seed", "+5"),
+            ("learn", "--max-states", "\u0661\u0662"),
+            ("trace", "--max-bidirected", "2.0"),
+            ("score", "--restarts", " 3"),
+            ("sample", "-n", "1_000"),
+        ],
+    )
+    def test_count_flags_read_ascii_digits_only(self, workdir, capsys, command, flag, token):
+        inputs = {
+            "sample": ["truth.model"],
+            "score": ["truth.model", "data.csv"],
+        }.get(command, ["true.pag", "data.csv"])
+        with pytest.raises(SystemExit) as exc:
+            main([command, *(str(workdir / name) for name in inputs), flag, token])
+        assert exc.value.code == EXIT_VALIDATION
+        assert f"{token!r} is not an integer" in capsys.readouterr().err
+
     def test_broken_search_invariant_is_internal(self, workdir, monkeypatch, capsys):
         def broken_search(pag, data, cfg):
             return None, SearchTrace((), None, "converged")

@@ -1,6 +1,7 @@
 """Text format round trips and parse errors with line numbers."""
 import random
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -10,6 +11,9 @@ from hypothesis import strategies as st
 from confinder.bn import BnModel
 from confinder.errors import GraphFormatError
 from confinder.fileio import (
+    TRACE_HEADER,
+    _format_float,
+    _real,
     parse_data,
     parse_graph_file,
     parse_latentized,
@@ -277,6 +281,8 @@ INTEGER_SITES = {
                      "line 6: parent value '{}' is not an integer"),
     "data-cell": (lambda t: parse_data(f"A,B\n0,1\n{t},1\n"),
                   "line 3: invalid value '{}' for column A"),
+    "trace-stratum": (lambda t: parse_trace(f"{TRACE_HEADER}\n{t},m,-1.5,0.0\n"),
+                      "line 2: stratum '{}' is not an integer"),
 }
 
 
@@ -286,6 +292,39 @@ def test_counts_and_state_indices_are_ascii_digits(site, token):
     parse, message = INTEGER_SITES[site]
     with pytest.raises(GraphFormatError, match=re.escape(message.format(token))):
         parse(token)
+
+
+# each text site that reads a real, as INTEGER_SITES
+REAL_SITES = {
+    "cpt-probability": (lambda t: parse_model(f"node A 2\ncpt A | : {t} 0.5\n"),
+                        "line 2: probability '{}' is not finite or not an ASCII decimal"),
+    "trace-p-elbo": (lambda t: parse_trace(f"{TRACE_HEADER}\n1,m,{t},0.0\n"),
+                     "line 2: p-ELBO '{}' is not finite or not an ASCII decimal"),
+    "trace-seconds": (lambda t: parse_trace(f"{TRACE_HEADER}\n1,m,-1.5,{t}\n"),
+                      "line 2: seconds '{}' is not finite or not an ASCII decimal"),
+}
+
+
+@pytest.mark.parametrize("site", REAL_SITES)
+@pytest.mark.parametrize(
+    "token",
+    ["1_0", "1_5e0", "+0.5", "\u0661", "nan", "inf", "1e999"],
+    ids=["underscore", "underscore-exponent", "plus", "arabic-indic", "nan", "inf", "overflow"],
+)
+def test_reals_are_finite_ascii_decimals(site, token):
+    parse, message = REAL_SITES[site]
+    with pytest.raises(GraphFormatError, match=re.escape(message.format(token))):
+        parse(token)
+
+
+@pytest.mark.parametrize("token", ["0", "-0.0", "1.", ".5", "0.000000", "1e+20", "5e-324", "2.5E-3"])
+def test_reals_read_plain_decimals(token):
+    assert _real(token) == float(token)
+
+
+@given(st.floats(allow_nan=False, allow_infinity=False))
+def test_written_floats_read_back_bit_for_bit(value):
+    assert struct.pack("<d", _real(_format_float(value))) == struct.pack("<d", value)
 
 
 class TestDataFiles:
@@ -459,6 +498,46 @@ class TestReportsAndTraces:
             parse_trace("stratum,model_id,p_elbo,seconds\n1,abc\n")
         with pytest.raises(GraphFormatError, match="line 2"):
             parse_trace("stratum,model_id,p_elbo,seconds\nx,abc,-1.0,0.1\n")
+
+    def test_a_negative_stratum_is_refused(self):
+        with pytest.raises(GraphFormatError, match="line 2: negative stratum -1"):
+            parse_trace(f"{TRACE_HEADER}\n-1,m,-1.5,0.0\n")
+
+    def test_trace_comments_are_skipped(self):
+        text = serialize_trace(self.trace())
+        assert parse_trace("# a comment\n" + text) == self.trace().entries
+
+    def test_trace_cells_are_stripped(self):
+        assert parse_trace(f"{TRACE_HEADER}\n 1 , m , -1.5 , 0.25 \n") == (
+            TraceEntry(1, "m", -1.5, 0.25),
+        )
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(0, 50),
+                st.text("0123456789abcdef", min_size=1, max_size=10),
+                st.floats(allow_nan=False, allow_infinity=False),
+                st.floats(0, 1e6),
+            ),
+            min_size=1,
+            max_size=8,
+        ),
+        st.lists(st.sampled_from(["", "   ", "# note", "  # stratum,model_id"]), max_size=8),
+        st.randoms(use_true_random=False),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_comments_and_blanks_inserted_in_a_trace_change_nothing(self, rows, extra, rnd):
+        entries = tuple(TraceEntry(*row) for row in sorted(rows, key=lambda row: row[3]))
+        trace = SearchTrace(entries, _FakeBest(max(e.p_elbo for e in entries)), "converged")
+        lines = serialize_trace(trace).splitlines()
+        for line in extra:
+            lines.insert(rnd.randint(0, len(lines)), line)
+        assert parse_trace("\n".join(lines)) == parse_trace(serialize_trace(trace))
+
+    def test_a_report_line_without_a_colon_is_refused(self):
+        with pytest.raises(GraphFormatError, match="line 3: report lines look like 'key: value'"):
+            parse_report("p_elbo: -1.5\n# a comment\nconverged true\n")
 
 
 class _FakeBest:
