@@ -51,6 +51,14 @@ def _integer_flag(token: str) -> int:
     return value
 
 
+def _real_flag(token: str) -> float:
+    """An argparse type reading a real flag as the text formats read reals."""
+    value = fileio._real(token)
+    if value is None:
+        raise argparse.ArgumentTypeError(f"{token!r} is not finite or not an ASCII decimal")
+    return value
+
+
 def _add_search_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--strategy",
@@ -66,7 +74,7 @@ def _add_search_flags(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--threshold",
-        type=float,
+        type=_real_flag,
         default=DEFAULT_CONVERGENCE,
         help=f"VBEM convergence threshold (default {DEFAULT_CONVERGENCE})",
     )
@@ -78,7 +86,7 @@ def _add_search_flags(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--budget-seconds",
-        type=float,
+        type=_real_flag,
         default=DEFAULT_BUDGET_SECONDS,
         help=f"wall-clock budget, enumeration included; best-so-far is returned on expiry (default {DEFAULT_BUDGET_SECONDS:g})",
     )
@@ -150,7 +158,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("score", help="fit one latentized DAG to a dataset")
     p.add_argument("model", help="latentized DAG (or plain DAG) file")
     p.add_argument("data", help="dataset CSV")
-    p.add_argument("--threshold", type=float, default=DEFAULT_CONVERGENCE)
+    p.add_argument("--threshold", type=_real_flag, default=DEFAULT_CONVERGENCE)
     p.add_argument("--restarts", type=_integer_flag, default=DEFAULT_RESTARTS)
     p.add_argument("--seed", type=_integer_flag, default=0)
     _add_normalize_flag(p)

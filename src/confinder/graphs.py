@@ -5,19 +5,27 @@ plus bi-directed edges) and PAGs (circle marks for undetermined endpoints).
 The separation walk, conditional-independence signatures, inducing paths,
 projection onto MAGs and the graphical Markov-equivalence test live here too.
 
-Separation is decided by reachability over (node, arrival mark) states: a
-walk passes a collider only if it is an ancestor of the conditioning set,
-and any other node only if it is outside that set. An inducing-path query
-walks once. A CI signature needs every conditioning set, so it walks once per
-source node and carries, in each state, the sets under which that state is
-reachable as one bit per subset of the signature's scope.
+Separation is decided by reachability over (node, arrowhead at arrival)
+states: a walk passes a collider only if it is an ancestor of the
+conditioning set, and any other node only if it is outside that set. Each
+graph keeps, per node, one step list of (neighbor, arrowhead at the node,
+arrowhead at the neighbor) booleans, so a walk compares booleans instead
+of looking up edges and marks. An inducing-path query walks once. A CI
+signature needs every conditioning set, so it walks once per source node
+and carries, in each state, the sets under which that state is reachable
+as one bit per subset of the signature's scope.
+
+Maximality is decided without projecting: only non-adjacent pairs inside
+one bi-directed component can be joined by an inducing path (see
+:func:`is_maximal`), so only they are queried.
 
 Graphs are immutable after construction and safe to share across workers;
 node identifiers are case-sensitive strings and all derived orderings are
 canonical (sorted by name) so that results are reproducible. What a graph
-derives from itself, its adjacency index, topological order, validity
-report, maximal augmentation and Markov-equivalence invariants, is a cached
-property of the graph, computed on first use and kept on the instance.
+derives from itself, its adjacency index, walk steps, topological order,
+validity report, maximality, maximal augmentation and Markov-equivalence
+invariants, is a cached property of the graph, computed on first use and
+kept on the instance.
 """
 from __future__ import annotations
 
@@ -114,7 +122,8 @@ class Edge:
 
     @property
     def is_directed(self) -> bool:
-        return {self.mark_a, self.mark_b} == {Mark.TAIL, Mark.ARROW}
+        a, b = self.mark_a, self.mark_b
+        return (a is Mark.TAIL and b is Mark.ARROW) or (a is Mark.ARROW and b is Mark.TAIL)
 
     @property
     def is_bidirected(self) -> bool:
@@ -238,6 +247,17 @@ class MixedGraph:
         return _Index(self)
 
     @cached_property
+    def _steps(self) -> Dict[str, Tuple[Tuple[str, bool, bool], ...]]:
+        """Per node, (neighbor, arrowhead at the node, arrowhead at the
+        neighbor) for each edge at the node, in edge order."""
+        steps = {v: [] for v in self.nodes}
+        for e in self.edges:
+            arrow_a, arrow_b = e.mark_a is Mark.ARROW, e.mark_b is Mark.ARROW
+            steps[e.a].append((e.b, arrow_a, arrow_b))
+            steps[e.b].append((e.a, arrow_b, arrow_a))
+        return {v: tuple(s) for v, s in steps.items()}
+
+    @cached_property
     def _order(self) -> Tuple[Tuple[str, ...], Optional[Tuple[str, ...]]]:
         """Kahn's order over directed edges (ties by name) and, when nodes
         are left over, the cycle that a depth-first search from each node
@@ -263,6 +283,15 @@ class MixedGraph:
     @cached_property
     def _aug(self) -> MixedGraph:
         return project_to_mag(self, self.nodes)
+
+    @cached_property
+    def _maximal(self) -> bool:
+        return not any(
+            has_inducing_path(self, x, y)
+            for component in bidirected_components(self)
+            for x, y in itertools.combinations(sorted(component), 2)
+            if not self.has_edge(x, y)
+        )
 
     @cached_property
     def _inv(self) -> _Invariants:
@@ -357,10 +386,10 @@ def validate(graph: MixedGraph) -> ValidityReport:
 def _check(graph: MixedGraph) -> ValidityReport:
     v = []
     for e in graph.edges:
-        marks = {e.mark_a, e.mark_b}
-        if marks == {Mark.TAIL}:
+        marks = (e.mark_a, e.mark_b)
+        if marks == (Mark.TAIL, Mark.TAIL):
             v.append(f"undirected edge {e.a} --- {e.b} (selection bias unsupported)")
-        elif marks == {Mark.TAIL, Mark.CIRCLE}:
+        elif Mark.TAIL in marks and Mark.CIRCLE in marks:
             v.append(f"tail-circle edge between {e.a} and {e.b} (selection bias unsupported)")
 
     if graph.kind is GraphKind.DAG:
@@ -391,37 +420,32 @@ def _check(graph: MixedGraph) -> ValidityReport:
 def _connected(graph: MixedGraph, x: str, y: str, z: FrozenSet[str]) -> bool:
     """Walk-based reachability: is there an open path from x to y given z?
 
-    States are (node, mark at the node on the edge we arrived by). A walk
-    may pass a node as a collider only if the node is an ancestor of z, and
-    as a non-collider only if the node is outside z; this matches path
+    States are (node, arrowhead at the node on the edge we arrived by). A
+    walk may pass a node as a collider only if the node is an ancestor of z,
+    and as a non-collider only if the node is outside z; this matches path
     blocking because an open walk exists iff an open path does.
     """
-    idx = graph._idx
+    steps = graph._steps
     anz = graph.ancestors(z) if z else frozenset()
-    queue = deque()
     seen = set()
-    for w in idx.adjacent[x]:
+    for w, _at_x, arrow in steps[x]:
         if w == y:
             return True
-        state = (w, idx.edge_map[(x, w) if x < w else (w, x)].mark_at(w))
-        queue.append(state)
-        seen.add(state)
-    while queue:
-        v, mark_in = queue.popleft()
-        for w in idx.adjacent[v]:
-            edge = idx.edge_map[(v, w) if v < w else (w, v)]
-            collider = mark_in is Mark.ARROW and edge.mark_at(v) is Mark.ARROW
-            if collider:
-                if v not in anz:
-                    continue
-            elif v in z:
+        seen.add((w, arrow))
+    todo = list(seen)
+    while todo:
+        v, arrived_by_arrow = todo.pop()
+        pass_collider = v in anz
+        pass_other = v not in z
+        for w, arrow_at_v, arrow in steps[v]:
+            if not (pass_collider if arrived_by_arrow and arrow_at_v else pass_other):
                 continue
             if w == y:
                 return True
-            state = (w, edge.mark_at(w))
+            state = (w, arrow)
             if state not in seen:
                 seen.add(state)
-                queue.append(state)
+                todo.append(state)
     return False
 
 
@@ -486,12 +510,7 @@ def _signature_cached(graph: MixedGraph, scope: Tuple[str, ...]) -> CISet:
     for v in scope:
         for a in graph.ancestors(v):
             in_anz[a] |= in_z[v]
-    # (neighbor, arrowhead at v, arrowhead at the neighbor) per edge at v
-    steps = {v: [] for v in graph.nodes}
-    for e in graph.edges:
-        arrow_a, arrow_b = e.mark_a is Mark.ARROW, e.mark_b is Mark.ARROW
-        steps[e.a].append((e.b, arrow_a, arrow_b))
-        steps[e.b].append((e.a, arrow_b, arrow_a))
+    steps = graph._steps
     subsets = [()]
     for v in scope:
         subsets += [s + (v,) for s in subsets]
@@ -553,6 +572,27 @@ def has_inducing_path(
     return _connected(graph, x, y, z)
 
 
+def bidirected_components(graph: MixedGraph) -> Tuple[FrozenSet[str], ...]:
+    """The node sets of the connected pieces of the bi-directed edges, in
+    the order of their least node; a node with no such edge is in none."""
+    spouses: Dict[str, list] = {}
+    for a, b in graph.bidirected_edges():
+        spouses.setdefault(a, []).append(b)
+        spouses.setdefault(b, []).append(a)
+    components = []
+    for start in sorted(spouses):
+        if any(start in c for c in components):
+            continue
+        component, todo = {start}, [start]
+        while todo:
+            for n in spouses[todo.pop()]:
+                if n not in component:
+                    component.add(n)
+                    todo.append(n)
+        components.append(frozenset(component))
+    return tuple(components)
+
+
 def project_to_mag(graph: MixedGraph, observed: Iterable[str]) -> MixedGraph:
     """The MAG over ``observed`` with the separations of a valid DAG or MAG.
 
@@ -582,6 +622,26 @@ def project_to_mag(graph: MixedGraph, observed: Iterable[str]) -> MixedGraph:
         else:
             edges.append(Edge.bidirected(x, y))
     return MixedGraph(GraphKind.MAG, observed, tuple(edges))
+
+
+def is_maximal(mag: MixedGraph) -> bool:
+    """True iff every non-adjacent node pair is m-separated by some set.
+
+    That holds iff no inducing path joins a non-adjacent pair. In a MAG, an
+    inducing path relative to the empty set is a path <x, q1, ..., qk, y>
+    whose interior nodes are all colliders and ancestors of x or y
+    (Richardson & Spirtes 2002). It is bi-directed throughout: between two
+    colliders both marks are arrowheads, and the first edge is not
+    x --> q1. If it were, q1 could not be an ancestor of x (a cycle), so it
+    is one of y, and so is x; then qk, an ancestor of x or y, is one of y,
+    while the last edge has an arrowhead at qk: y --> qk closes a cycle and
+    y <-> qk an almost-directed cycle. The last edge is bi-directed alike.
+    So only the non-adjacent pairs inside one bi-directed component are
+    queried, and the first inducing path found ends the test. The answer is
+    a cached property of the graph.
+    """
+    require_valid(mag, GraphKind.MAG, "mag")
+    return mag._maximal
 
 
 def maximal_augmentation(mag: MixedGraph) -> MixedGraph:
@@ -639,12 +699,13 @@ def _discriminating_paths(graph: MixedGraph) -> Dict[Tuple[str, ...], bool]:
 class _Invariants:
     """What decides a MAG's Markov equivalence class: the skeleton of its
     maximal augmentation, that graph's unshielded colliders, and the
-    collider status on each of its discriminating paths."""
+    collider status on each of its discriminating paths. A maximal MAG is
+    its own augmentation, so it is read as it is, without a projection."""
 
     __slots__ = ("skeleton", "colliders", "paths")
 
     def __init__(self, mag: MixedGraph):
-        augmented = maximal_augmentation(mag)
+        augmented = mag if mag._maximal else maximal_augmentation(mag)
         self.skeleton = frozenset(e.pair for e in augmented.edges)
         self.colliders = frozenset(
             t for t in unshielded_triples(augmented) if is_collider(augmented, *t)
@@ -661,11 +722,23 @@ def markov_equivalent(mag_a: MixedGraph, mag_b: MixedGraph) -> bool:
     the collider status of the node discriminated by every path that is
     discriminating in both (Spirtes & Richardson 1996; Ali, Richardson &
     Spirtes 2009).
+
+    A maximal graph is its own augmentation, so it is never projected. Two
+    graphs with one skeleton, one of them maximal, are equivalent only if
+    the other is maximal too: equivalent graphs have augmentations with one
+    skeleton, and the other graph's augmentation, which keeps its edges,
+    can then add none. So a completion of a maximal reference's PAG is in
+    its class iff it is maximal and agrees on the unshielded colliders and
+    on the colliders of the paths discriminating in both, and a non-maximal
+    one is refused without its augmentation.
     """
     require_valid(mag_a, GraphKind.MAG, "mag_a")
     require_valid(mag_b, GraphKind.MAG, "mag_b")
     if mag_a.nodes != mag_b.nodes:
         raise ValueError("markov_equivalent requires identical node sets")
+    same_skeleton = mag_a._idx.edge_map.keys() == mag_b._idx.edge_map.keys()
+    if same_skeleton and mag_a._maximal != mag_b._maximal:
+        return False
     a = mag_a._inv
     b = mag_b._inv
     if a.skeleton != b.skeleton or a.colliders != b.colliders:

@@ -8,9 +8,25 @@ enumerates the connectivity-respecting groupings lazily, fewest latents
 first, and returns the first candidate DAG whose margin over the observed
 nodes equals the source MAG's maximal augmentation. The exhaustive
 CI-signature comparison stays as the reference for that check.
+
+No candidate is projected. The finest grouping, one latent per
+bi-directed edge, is the MAG's canonical DAG, whose margin is the maximal
+augmentation (Richardson & Spirtes 2002), so its check asks no query. A
+coarser candidate is checked only on the pairs where its margin can differ
+from the finest one's. Merging latents maps every path of the finest DAG
+to a walk of the candidate with the same colliders, so the candidate
+separates no more than the finest DAG does, and its margin keeps every edge
+of the augmentation, oriented by the same ancestry (latents add none). It
+can only add edges, between pairs the augmentation leaves non-adjacent,
+along inducing paths the finest DAG lacks, which pass through a latent
+that covers two edges or more. Every observed interior node of such a path
+is a collider, and two of them in a row share a latent, so the interior
+lies in one bi-directed component C of the MAG, the one holding that
+latent's children, and the endpoints lie in C or its parents.
 """
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass
 from typing import Iterator, List, Mapping, Optional, Sequence, Tuple
@@ -20,9 +36,11 @@ from confinder.graphs import (
     Edge,
     GraphKind,
     MixedGraph,
+    bidirected_components,
     ci_signature,
+    has_inducing_path,
+    is_maximal,
     maximal_augmentation,
-    project_to_mag,
     require_valid,
 )
 
@@ -260,25 +278,39 @@ def preserves_independencies(candidate: LatentizedDag, maximal: MixedGraph) -> b
 
     A candidate keeps the MAG's directed edges and adds only parentless
     latents, so both graphs are maximal and orient every edge by the same
-    ancestry: they are Markov equivalent iff they are equal.
+    ancestry: they are Markov equivalent iff they are equal. The margin
+    holds every edge of ``maximal`` (see the module notes), so it equals
+    ``maximal`` iff no inducing path joins a pair ``maximal`` leaves
+    non-adjacent; only the pairs in the components of the latents with
+    three children or more, and their parents, can have one.
     """
-    return project_to_mag(candidate.dag, candidate.observed) == maximal
+    mag, dag, hidden = candidate.source_mag, candidate.dag, candidate.spec.names
+    # a latent over two connected edges or more has three children or more
+    merged = [l.children for l in candidate.spec.latents if len(l.children) > 2]
+    for component in bidirected_components(mag):
+        if not any(children[0] in component for children in merged):
+            continue
+        entries = set(component).union(*(mag.parents(n) for n in component))
+        for x, y in itertools.combinations(sorted(entries), 2):
+            if not maximal.has_edge(x, y) and has_inducing_path(dag, x, y, hidden):
+                return False
+    return True
 
 
 def latentize_min(mag: MixedGraph, deadline: Optional[float] = None) -> LatentizedDag:
     """The DAG with the fewest binary latents preserving the MAG's CIs.
 
-    Candidates are tried in ascending latent count; the finest grouping (one
-    latent per bi-directed edge) always preserves the independencies, so a
-    valid MAG always yields a model, and finding none is a program fault
-    (InconsistentStateError).
+    Candidates are tried in ascending latent count. The last, the finest
+    grouping (one latent per bi-directed edge), preserves the independencies
+    by construction, and its check asks no query, so a valid MAG always
+    yields a model; finding none is a program fault (InconsistentStateError).
+    A maximal MAG is its own augmentation, so it is not projected.
 
     ``deadline`` is a ``time.monotonic()`` instant checked before each
-    candidate. Once it has passed, the finest grouping comes back unchecked,
-    since it preserves the independencies by construction.
+    candidate. Once it has passed, the finest grouping comes back.
     """
     specs = candidate_groupings(mag)
-    maximal = maximal_augmentation(mag)
+    maximal = mag if is_maximal(mag) else maximal_augmentation(mag)
     for spec in specs:
         if deadline is not None and time.monotonic() >= deadline:
             return apply_spec(mag, _spec(sorted(mag.bidirected_edges())))

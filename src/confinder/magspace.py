@@ -27,6 +27,7 @@ from confinder.graphs import (
     Mark,
     MixedGraph,
     is_collider,
+    is_maximal,
     markov_equivalent,
     maximal_augmentation,
     require_valid,
@@ -57,13 +58,13 @@ def circle_slots(pag: MixedGraph) -> Tuple[Slot, ...]:
     return tuple(slots)
 
 
-def _complete(pag: MixedGraph, marks: Dict[Slot, Mark], kind: GraphKind = GraphKind.MAG) -> MixedGraph:
+def _complete(pag: MixedGraph, marks: Dict[Slot, Mark]) -> MixedGraph:
     edges = []
     for e in pag.edges:
         ma = marks.get((e.pair, e.a), e.mark_a)
         mb = marks.get((e.pair, e.b), e.mark_b)
         edges.append(Edge(e.a, e.b, ma, mb))
-    return MixedGraph(kind, pag.nodes, tuple(edges))
+    return MixedGraph(GraphKind.MAG, pag.nodes, tuple(edges))
 
 
 def _completions(
@@ -74,12 +75,25 @@ def _completions(
     Circle endpoints are resolved in canonical order, tail before arrowhead,
     so completions come in that lexicographic order. A prefix is cut as soon
     as its fixed marks put a collider on a triple of ``non_colliders``, or,
-    once they complete an edge, as soon as ``validate`` rejects the prefix
-    graph: a tail-tail edge, a directed or almost-directed cycle. Each check
-    reads fixed marks only and fixing more marks keeps a violation, so the
-    cut loses no completion, and every completion is a valid MAG. Raises
+    once they complete an edge, as soon as the prefix graph is invalid: a
+    tail-tail edge, a directed or almost-directed cycle. Each check reads
+    fixed marks only and fixing more marks keeps a violation, so the cut
+    loses no completion, and every completion is a valid MAG. Raises
     ConstructionError, naming the deepest circle left unresolved, when no
     completion exists.
+
+    The validity check looks at the completed edge alone. An edge's circles
+    are adjacent slots, so when a slot completes an edge, every other edge
+    is either resolved or still the valid PAG's own, and the prefix graph
+    differs from the last one checked, which was valid, by that edge only.
+    Cycles and almost-directed cycles read directed and bi-directed edges
+    only, and an edge that keeps a circle is neither. So the new prefix is
+    invalid iff the edge is tail-tail; or it is ``t --> h`` and h is an
+    ancestor of t (a cycle), or some bi-directed ``a <-> b`` now has a as
+    an ancestor of b, which needs a to be an ancestor of t and b a
+    descendant of h; or it is ``a <-> b`` with one end an ancestor of the
+    other. Each prefix keeps its ancestor relation, one bit set per node,
+    and the bi-directed edges it has.
 
     ``deadline`` is a ``time.monotonic()`` instant, checked before each
     circle is resolved; past it the walk stops quietly after the
@@ -91,6 +105,7 @@ def _completions(
         i + 1 == len(slots) or slots[i + 1][0] != pair
         for i, (pair, _node) in enumerate(slots)
     ]
+    bit = {n: 1 << i for i, n in enumerate(pag.nodes)}
     marks: Dict[Slot, Mark] = {}
     deepest = 0
     cut = False
@@ -99,24 +114,36 @@ def _completions(
         pair = (node, other) if node < other else (other, node)
         return marks.get((pair, node), pag.mark_between(node, other))
 
-    def consistent(i: int) -> bool:
+    def colliding(i: int) -> bool:
         node = slots[i][1]
         # a collider at b reads only the marks at b, and only slot i's changed
-        if any(
+        return any(
             mark_at(node, a) is mark_at(node, c) is Mark.ARROW
             for a, b, c in non_colliders if b == node
-        ):
-            return False
-        if not completes[i]:
-            # a circle is left at the other end, so the edge is neither
-            # tail-tail nor directed nor bi-directed: it adds no violation
-            return True
-        # every edge is now resolved or keeps the valid PAG's own marks, so
-        # none is tail-circle, and a PAG's check is exactly the tail-tail,
-        # directed-cycle and almost-directed-cycle tests
-        return validate(_complete(pag, marks, kind=GraphKind.PAG)).ok
+        )
 
-    def extend(i: int) -> Iterator[MixedGraph]:
+    def with_edge(pair: Tuple[str, str], below: Dict[str, int], spouses: tuple):
+        """The ancestor bits (a node's own bit and its ancestors') and the
+        bi-directed edges of the prefix with ``pair`` completed, or None
+        when the completed edge makes the prefix invalid."""
+        a, b = pair
+        mark_a, mark_b = mark_at(a, b), mark_at(b, a)
+        if mark_a is Mark.ARROW and mark_b is Mark.ARROW:
+            if below[a] & bit[b] or below[b] & bit[a]:
+                return None
+            return below, spouses + (pair,)
+        if mark_a is Mark.TAIL and mark_b is Mark.TAIL:
+            return None
+        t, h = (a, b) if mark_b is Mark.ARROW else (b, a)
+        if below[t] & bit[h]:
+            return None
+        reach = below[t]
+        below = {n: bits | reach if bits & bit[h] else bits for n, bits in below.items()}
+        if any(below[x] & bit[y] or below[y] & bit[x] for x, y in spouses):
+            return None
+        return below, spouses
+
+    def extend(i: int, below: Dict[str, int], spouses: tuple) -> Iterator[MixedGraph]:
         nonlocal deepest, cut
         deepest = max(deepest, i)
         if i == len(slots):
@@ -127,11 +154,20 @@ def _completions(
             return
         for mark in (Mark.TAIL, Mark.ARROW):
             marks[slots[i]] = mark
-            if consistent(i):
-                yield from extend(i + 1)
+            if colliding(i):
+                continue
+            if not completes[i]:
+                # a circle is left at the other end, so the edge is neither
+                # tail-tail nor directed nor bi-directed: it adds no violation
+                yield from extend(i + 1, below, spouses)
+                continue
+            prefix = with_edge(slots[i][0], below, spouses)
+            if prefix is not None:
+                yield from extend(i + 1, *prefix)
         del marks[slots[i]]
 
-    yield from extend(0)
+    below = {n: sum(bit[m] for m in pag.ancestors(n)) for n in pag.nodes}
+    yield from extend(0, below, pag.bidirected_edges())
     if deepest < len(slots) and not cut:  # no prefix reached full length
         pair, node = slots[deepest]
         raise ConstructionError(f"no valid orientation for the circle at {node!r} on edge {pair}")
@@ -148,6 +184,12 @@ def enumerate_mags(pag: MixedGraph, deadline: Optional[float] = None) -> List[Ma
     reference's maximal augmentation on the PAG's edges, which every class
     member shares; the PAG's own non-colliders would not do, since an
     inducing path of a non-maximal reference can shield one of them.
+
+    Against a maximal reference, the class test asks no augmentation: a
+    completion shares the reference's skeleton, so it is a member iff it is
+    maximal and agrees with the reference on the unshielded colliders and
+    on the colliders of the paths discriminating in both (see
+    ``markov_equivalent``).
 
     ``deadline`` is a ``time.monotonic()`` instant checked at every circle
     the walk resolves. A walk cut there returns the members found so far,
@@ -230,17 +272,6 @@ def orientation_neighbors(current: MixedGraph, pag: MixedGraph) -> List[MixedGra
     return out
 
 
-def is_maximal(mag: MixedGraph) -> bool:
-    """True iff every non-adjacent node pair is m-separated by some set.
-
-    That holds iff no inducing path joins a non-adjacent pair, that is, iff
-    projecting the MAG onto its own nodes (its maximal augmentation) adds no
-    edge.
-    """
-    require_valid(mag, GraphKind.MAG, "mag")
-    return maximal_augmentation(mag) == mag
-
-
 def pag_of_mag(mag: MixedGraph) -> MixedGraph:
     """Recover the PAG of a maximal MAG from the members of its class.
 
@@ -248,8 +279,10 @@ def pag_of_mag(mag: MixedGraph) -> MixedGraph:
     and non-colliders. So the walk over circle marks starts from the
     skeleton with circles everywhere except arrowheads at the unshielded
     colliders, and cuts every collider on an unshielded non-collider; the
-    completions Markov equivalent to the input are its class members. Marks
-    that agree across all members stay, the rest become circles. Requires a
+    completions Markov equivalent to the input are its class members, each
+    tested by maximality and colliders, with no augmentation (see
+    ``markov_equivalent``). Marks that agree across all members stay, the
+    rest become circles. Requires a
     maximal input: non-maximal ancestral graphs can have equivalent graphs
     with different skeletons, which this skeleton-fixing walk would miss.
     """

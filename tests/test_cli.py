@@ -517,6 +517,24 @@ class TestExitCodes:
         assert exc.value.code == EXIT_VALIDATION
         assert f"{token!r} is not an integer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command, flag, token",
+        [
+            ("learn", "--threshold", "1_0e-3"),
+            ("learn", "--budget-seconds", "+0.5"),
+            ("learn", "--budget-seconds", "inf"),
+            ("trace", "--threshold", "nan"),
+            ("trace", "--budget-seconds", "1e999"),
+            ("score", "--threshold", "\u0661e-3"),
+        ],
+    )
+    def test_real_flags_read_ascii_decimals_only(self, workdir, capsys, command, flag, token):
+        inputs = ["truth.model" if command == "score" else "true.pag", "data.csv"]
+        with pytest.raises(SystemExit) as exc:
+            main([command, *(str(workdir / name) for name in inputs), flag, token])
+        assert exc.value.code == EXIT_VALIDATION
+        assert f"{token!r} is not finite or not an ASCII decimal" in capsys.readouterr().err
+
     def test_broken_search_invariant_is_internal(self, workdir, monkeypatch, capsys):
         def broken_search(pag, data, cfg):
             return None, SearchTrace((), None, "converged")

@@ -316,6 +316,33 @@ def test_margin_check_matches_the_signature_comparison(seed):
             )
 
 
+@given(st.integers(0, 10**6))
+@settings(max_examples=25, deadline=None)
+def test_restricted_margin_check_matches_the_projection_oracle(seed):
+    # the check asks only about pairs an inducing path through a merged
+    # latent can join; it must agree with the whole margin read off the
+    # candidate's CI signature, and latentize_min must return the first
+    # candidate whose whole projection is the augmentation
+    rng = random.Random(seed)
+    n = rng.randint(4, 6)
+    model, _data = random_latentized_instance(rng, max_latents=3)
+    sources = [
+        random_mag(rng, n, rng.choice((0.3, 0.5))),
+        random_non_maximal_mag(rng, n),
+        project_to_mag(model.dag, model.observed),
+    ]
+    for source in sources:
+        maximal = project_to_mag(source, source.nodes)
+        first = None
+        for spec in candidate_groupings(source):
+            candidate = apply_spec(source, spec)
+            margin = project_to_mag_oracle(candidate.dag, candidate.observed)
+            assert preserves_independencies(candidate, maximal) == (margin == maximal)
+            if first is None and project_to_mag(candidate.dag, candidate.observed) == maximal:
+                first = candidate
+        assert latentize_min(source) == first
+
+
 # -- verify_ci_equivalence ------------------------------------------------------
 
 def test_verify_needs_a_source():

@@ -16,6 +16,7 @@ from confinder.graphs import (
     MixedGraph,
     is_collider,
     markov_equivalent,
+    project_to_mag,
     validate,
 )
 from confinder.magspace import (
@@ -29,8 +30,10 @@ from confinder.magspace import (
 )
 from oracles import (
     circle_marks,
+    completions_oracle,
     enumerate_oracle,
     is_maximal_oracle,
+    markov_equivalent_oracle,
     pag_of_mag_oracle,
     random_mag,
     random_maximal_mag,
@@ -206,6 +209,26 @@ def test_reference_and_enumeration_match_the_oracle_on_circled_non_maximal_mags(
         return
     assert reference_mag(p) == expected
     assert set(all_mags(enumerate_mags(p))) == enumerate_oracle(p, expected)
+
+
+@given(st.integers(0, 10**6), st.booleans())
+@settings(max_examples=25, deadline=None)
+def test_membership_by_maximality_matches_augmentation_and_signatures(seed, maximal):
+    # a completion shares its reference's skeleton; against a maximal
+    # reference, markov_equivalent decides it by maximality and colliders
+    # alone, and must agree with comparing both augmentations and with the
+    # signature oracle on every completion, members or not
+    rng = random.Random(seed)
+    if maximal:
+        origin = random_maximal_mag(rng, rng.randint(3, 6))
+    else:
+        origin = random_non_maximal_mag(rng, 4, edge_prob=0.2)
+    origin_full = project_to_mag(origin, origin.nodes)
+    for g in completions_oracle(circle_marks(rng, origin)):
+        by_augmentation = markov_equivalent(project_to_mag(g, g.nodes), origin_full)
+        assert markov_equivalent(g, origin) == by_augmentation
+        assert by_augmentation == markov_equivalent_oracle(g, origin)
+        assert is_maximal(g) == (project_to_mag(g, g.nodes) == g)
 
 
 def mark_order(g):
