@@ -8,6 +8,7 @@ order the fits use.
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Dict, Iterable, Iterator, Mapping, Tuple
 
 import numpy as np
@@ -49,10 +50,7 @@ class BnModel:
         for node in dag.nodes:
             if node not in cpts:
                 raise ValueError(f"missing CPT for {node}")
-            parents = tuple(sorted(dag.parents(node)))
-            j_count = 1
-            for p in parents:
-                j_count *= cards[p]
+            j_count = math.prod(cards[p] for p in dag.parents(node))
             table = np.asarray(cpts[node], dtype=np.float64)
             if table.shape != (j_count, cards[node]):
                 raise ValueError(
@@ -93,7 +91,7 @@ class BnModel:
         return self._cpts[node]
 
     def parents(self, node: str) -> Tuple[str, ...]:
-        return tuple(sorted(self._dag.parents(node)))
+        return self._dag.parents(node)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, BnModel):

@@ -15,7 +15,7 @@ from typing import Dict, Optional, Tuple
 
 from confinder.bn import BnModel, forward_sample
 from confinder.graphs import Edge, GraphKind, MixedGraph, project_to_mag
-from confinder.latentize import Latent, LatentizedDag, LatentSpec
+from confinder.latentize import LATENT_PREFIX, Latent, LatentizedDag, LatentSpec
 from confinder.magspace import pag_of_mag
 from confinder.search import ScoredModel, SearchConfig, SearchTrace, run_search
 from confinder.seeds import derive_seed
@@ -94,15 +94,14 @@ def true_latentized(model: BnModel, hide: Optional[str]) -> LatentizedDag:
     root latent of its true cardinality, renamed into the latent namespace."""
     if hide is None:
         return LatentizedDag(model.dag, LatentSpec(()))
-    rename = {hide: "_L1"}
+    rename = {hide: f"{LATENT_PREFIX}1"}
     nodes = tuple(rename.get(n, n) for n in model.nodes)
     edges = tuple(
         Edge(rename.get(e.a, e.a), rename.get(e.b, e.b), e.mark_a, e.mark_b)
         for e in model.dag.edges
     )
     dag = MixedGraph(GraphKind.DAG, nodes, edges)
-    children = tuple(sorted(model.dag.children(hide)))
-    spec = LatentSpec((Latent("_L1", children, model.cardinality(hide)),))
+    spec = LatentSpec((Latent(rename[hide], model.dag.children(hide), model.cardinality(hide)),))
     return LatentizedDag(dag, spec)
 
 

@@ -297,7 +297,7 @@ def parse_model(text: str) -> BnModel:
     for lineno, node, config, probs in scan.cpts:
         if node not in rows:
             raise GraphFormatError(f"cpt for unknown node {node!r}", lineno)
-        j = _config_index(node, tuple(sorted(dag.parents(node))), cards, config, lineno)
+        j = _config_index(node, dag.parents(node), cards, config, lineno)
         if j in rows[node]:
             raise GraphFormatError(
                 f"duplicate configuration for {node}: {config or '(root)'}", lineno

@@ -17,7 +17,11 @@ as one bit per subset of the signature's scope.
 
 Maximality is decided without projecting: only non-adjacent pairs inside
 one bi-directed component can be joined by an inducing path (see
-:func:`is_maximal`), so only they are queried.
+:func:`is_maximal`), so only they are queried. A maximal MAG is its own
+augmentation, so :func:`maximal_augmentation` returns it as it is and
+projects only other graphs. One walk, :func:`connected_pieces`, splits
+any set of node pairs into its connected pieces: the bi-directed
+components here, latentization's groupings and VBEM's components.
 
 Graphs are immutable after construction and safe to share across workers;
 node identifiers are case-sensitive strings and all derived orderings are
@@ -282,13 +286,15 @@ class MixedGraph:
 
     @cached_property
     def _aug(self) -> MixedGraph:
+        if self.kind is GraphKind.MAG and self._valid.ok and self._maximal:
+            return self
         return project_to_mag(self, self.nodes)
 
     @cached_property
     def _maximal(self) -> bool:
         return not any(
             has_inducing_path(self, x, y)
-            for component in bidirected_components(self)
+            for component in connected_pieces(self.bidirected_edges())
             for x, y in itertools.combinations(sorted(component), 2)
             if not self.has_edge(x, y)
         )
@@ -572,25 +578,27 @@ def has_inducing_path(
     return _connected(graph, x, y, z)
 
 
-def bidirected_components(graph: MixedGraph) -> Tuple[FrozenSet[str], ...]:
-    """The node sets of the connected pieces of the bi-directed edges, in
-    the order of their least node; a node with no such edge is in none."""
-    spouses: Dict[str, list] = {}
-    for a, b in graph.bidirected_edges():
-        spouses.setdefault(a, []).append(b)
-        spouses.setdefault(b, []).append(a)
-    components = []
-    for start in sorted(spouses):
-        if any(start in c for c in components):
+def connected_pieces(pairs: Iterable[Tuple[str, str]]) -> Tuple[FrozenSet[str], ...]:
+    """The node sets of the connected pieces of the graph whose edges are
+    ``pairs``, in the order of their least node. Only nodes named in a pair
+    are in a piece; a pair (n, n) puts n in one."""
+    links: Dict[str, set] = {}
+    for a, b in pairs:
+        links.setdefault(a, set()).add(b)
+        links.setdefault(b, set()).add(a)
+    pieces, placed = [], set()
+    for start in sorted(links):
+        if start in placed:
             continue
-        component, todo = {start}, [start]
+        piece, todo = {start}, [start]
         while todo:
-            for n in spouses[todo.pop()]:
-                if n not in component:
-                    component.add(n)
+            for n in links[todo.pop()]:
+                if n not in piece:
+                    piece.add(n)
                     todo.append(n)
-        components.append(frozenset(component))
-    return tuple(components)
+        placed |= piece
+        pieces.append(frozenset(piece))
+    return tuple(pieces)
 
 
 def project_to_mag(graph: MixedGraph, observed: Iterable[str]) -> MixedGraph:
@@ -647,7 +655,9 @@ def is_maximal(mag: MixedGraph) -> bool:
 def maximal_augmentation(mag: MixedGraph) -> MixedGraph:
     """``project_to_mag(mag, mag.nodes)``, a cached property of the graph:
     enumeration builds it to compare classes and prune its walk, and
-    latentization compares candidates' margins with it."""
+    latentization compares candidates' margins with it. A maximal MAG is
+    its own augmentation, so it comes back itself, unprojected; a DAG
+    comes back as its MAG, and a PAG or an invalid graph is refused."""
     return mag._aug
 
 
@@ -705,7 +715,7 @@ class _Invariants:
     __slots__ = ("skeleton", "colliders", "paths")
 
     def __init__(self, mag: MixedGraph):
-        augmented = mag if mag._maximal else maximal_augmentation(mag)
+        augmented = maximal_augmentation(mag)
         self.skeleton = frozenset(e.pair for e in augmented.edges)
         self.colliders = frozenset(
             t for t in unshielded_triples(augmented) if is_collider(augmented, *t)

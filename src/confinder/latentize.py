@@ -5,12 +5,14 @@ its own parentless binary latent always reproduces the MAG's conditional
 independencies over the observed variables, but connected groups of
 bi-directed edges can sometimes share a single latent. This module
 enumerates the connectivity-respecting groupings lazily, fewest latents
-first, and returns the first candidate DAG whose margin over the observed
-nodes equals the source MAG's maximal augmentation. The exhaustive
-CI-signature comparison stays as the reference for that check.
+first (a block of edges is connected when ``graphs.connected_pieces``
+finds it one piece), and returns the first candidate DAG whose margin over
+the observed nodes equals the source MAG's maximal augmentation. The
+exhaustive CI-signature comparison stays as the reference for that check.
 
-No candidate is projected. The finest grouping, one latent per
-bi-directed edge, is the MAG's canonical DAG, whose margin is the maximal
+No candidate is projected, and neither is a maximal source MAG, which is
+its own augmentation. The finest grouping, one latent per bi-directed
+edge, is the MAG's canonical DAG, whose margin is the maximal
 augmentation (Richardson & Spirtes 2002), so its check asks no query. A
 coarser candidate is checked only on the pairs where its margin can differ
 from the finest one's. Merging latents maps every path of the finest DAG
@@ -36,10 +38,9 @@ from confinder.graphs import (
     Edge,
     GraphKind,
     MixedGraph,
-    bidirected_components,
     ci_signature,
+    connected_pieces,
     has_inducing_path,
-    is_maximal,
     maximal_augmentation,
     require_valid,
 )
@@ -174,22 +175,6 @@ def _partitions(items: Sequence, count: int) -> Iterator[List[List]]:
         yield [[first]] + part
 
 
-def _block_connected(block: Sequence[Tuple[str, str]]) -> bool:
-    """Do the block's edges form one connected piece of the skeleton?"""
-    nodes = {n for e in block for n in e}
-    start = next(iter(nodes))
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        v = frontier.pop()
-        for a, b in block:
-            for u, w in ((a, b), (b, a)):
-                if u == v and w not in seen:
-                    seen.add(w)
-                    frontier.append(w)
-    return seen == nodes
-
-
 def _reject_reserved_names(nodes: Sequence[str]) -> None:
     reserved = [n for n in nodes if n.startswith(RESERVED_PREFIX)]
     if reserved:
@@ -226,7 +211,7 @@ def candidate_groupings(mag: MixedGraph) -> Iterator[LatentSpec]:
             families = {
                 tuple(sorted(tuple(sorted({n for e in block for n in e})) for block in part))
                 for part in _partitions(pairs, count)
-                if all(_block_connected(block) for block in part)
+                if all(len(connected_pieces(block)) == 1 for block in part)
             }
             for groups in sorted(families):
                 yield _spec(groups)
@@ -287,7 +272,7 @@ def preserves_independencies(candidate: LatentizedDag, maximal: MixedGraph) -> b
     mag, dag, hidden = candidate.source_mag, candidate.dag, candidate.spec.names
     # a latent over two connected edges or more has three children or more
     merged = [l.children for l in candidate.spec.latents if len(l.children) > 2]
-    for component in bidirected_components(mag):
+    for component in connected_pieces(mag.bidirected_edges()):
         if not any(children[0] in component for children in merged):
             continue
         entries = set(component).union(*(mag.parents(n) for n in component))
@@ -304,13 +289,12 @@ def latentize_min(mag: MixedGraph, deadline: Optional[float] = None) -> Latentiz
     grouping (one latent per bi-directed edge), preserves the independencies
     by construction, and its check asks no query, so a valid MAG always
     yields a model; finding none is a program fault (InconsistentStateError).
-    A maximal MAG is its own augmentation, so it is not projected.
 
     ``deadline`` is a ``time.monotonic()`` instant checked before each
     candidate. Once it has passed, the finest grouping comes back.
     """
     specs = candidate_groupings(mag)
-    maximal = mag if is_maximal(mag) else maximal_augmentation(mag)
+    maximal = maximal_augmentation(mag)
     for spec in specs:
         if deadline is not None and time.monotonic() >= deadline:
             return apply_spec(mag, _spec(sorted(mag.bidirected_edges())))

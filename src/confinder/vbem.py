@@ -62,8 +62,9 @@ table's row sums in the same order. A pass runs on that buffer:
 
 - the M-step forms one joint of the responsibilities per distinct tuple of
   latent members (a single latent's is just weights x responsibilities),
-  makes one weighted ``bincount`` over all restarts' cells of all tables,
-  adds ``ALPHA``, and appends the row sums with one reduction per shape;
+  makes one weighted ``bincount`` per restart over the cells of all
+  tables, adds ``ALPHA``, and appends the row sums with one reduction per
+  shape;
 - the bound takes one ``gammaln`` of that buffer;
 - the next E-step starts from one ``digamma`` of the same buffer, so the
   row sums are computed once per pass. It gathers each latent's
@@ -98,6 +99,7 @@ import numpy as np
 from scipy.special import digamma, gammaln, xlogy
 
 from confinder.errors import DataBindingError, InconsistentStateError
+from confinder.graphs import connected_pieces
 from confinder.latentize import Latent, LatentSpec, LatentizedDag
 from confinder.seeds import derive_seed
 
@@ -382,10 +384,11 @@ class _Binding:
     The binding also plans every pass (see the module docstring):
     ``layout`` places the dynamic tables in a buffer row; ``joints`` holds
     (members, span, family count) per member tuple, the span covering the
-    tuple's families in the M-step's weight row; and ``sweeps`` holds each
-    latent's E-step gathers in ``touching`` order: the cells of its
-    single-member families, how many of them lead ``touching``, and the
-    families after those.
+    tuple's families in the M-step's weight row; ``_base`` holds the buffer
+    cell of every entry of that row, so the M-step runs one ``bincount``
+    per restart over it; and ``sweeps`` holds each latent's E-step gathers
+    in ``touching`` order: the cells of its single-member families, how
+    many of them lead ``touching``, and the families after those.
     """
 
     def __init__(self, families, latents, cards, columns, weights: np.ndarray):
@@ -431,7 +434,6 @@ class _Binding:
                 base.append((self.layout.spans[f.node].start + f.cells).ravel())
                 start += f.cells.size
         self._base = np.concatenate(base) if base else np.zeros(0, dtype=np.int64)
-        self._index = self._base
         self.joints = [
             (members, slice(cells[fs[0].node].start, cells[fs[-1].node].stop), len(fs))
             for members, fs in tuples.items()
@@ -449,15 +451,6 @@ class _Binding:
             span = slice(cells[singles[0].node].start, cells[singles[-1].node].stop)
             self.sweeps[l] = (self._base[span].reshape(len(singles), -1, self.n_rows),
                               lead, rest)
-
-    def cell_index(self, restarts: int) -> np.ndarray:
-        """The buffer cells of a batch of ``restarts`` weight rows laid end
-        to end: restart r's cells are offset by r table regions. A smaller
-        batch reads a prefix of the largest one built."""
-        if len(self._index) < restarts * len(self._base):
-            shift = self.layout.table_size * np.arange(restarts)
-            self._index = (shift[:, None] + self._base).ravel()
-        return self._index[: restarts * len(self._base)]
 
     @functools.cached_property
     def constant(self) -> float:
@@ -478,8 +471,8 @@ class _Binding:
 
     def m_step(self, q_latent) -> np.ndarray:
         """``ALPHA`` plus expected counts for every dynamic table, as a pass
-        buffer: one joint per member tuple, one weighted ``bincount`` over
-        all restarts' cells, and the row sums."""
+        buffer: one joint per member tuple, one weighted ``bincount`` of
+        each restart's weight row over the cells, and the row sums."""
         restarts = len(q_latent[self.latent_names[0]])
         weights = np.empty((restarts, len(self._base)))
         for members, span, count in self.joints:
@@ -494,10 +487,10 @@ class _Binding:
                 )
                 slot[...] = joint.reshape(restarts, 1, -1, self.n_rows)
         size = self.layout.table_size
-        counts = np.bincount(self.cell_index(restarts), weights=weights.ravel(),
-                             minlength=restarts * size)
         buffer = np.empty((restarts, self.layout.size))
-        np.add(counts.reshape(restarts, size), ALPHA, out=buffer[:, :size])
+        for row, restart_weights in zip(buffer, weights):
+            row[:size] = np.bincount(self._base, weights=restart_weights, minlength=size)
+        buffer[:, :size] += ALPHA
         return self.layout.add_row_sums(buffer)
 
     def bound(self, buffer: np.ndarray, q_latent) -> np.ndarray:
@@ -822,34 +815,19 @@ def _split(model: LatentizedDag, cards: Mapping[str, int]
     """The model's latent-free family nodes, by name, and its components,
     by their latents. ``cards`` holds the observed cardinalities."""
     latents = {l.name: l for l in model.spec.latents}
-    group = {name: name for name in latents}
-
-    def root(name):
-        while group[name] != name:
-            name = group[name]
-        return name
-
-    free, touched = [], []
-    for node in sorted(model.dag.nodes):
-        if node in latents:
-            continue
-        members = [p for p in model.dag.parents(node) if p in latents]
-        if not members:
-            free.append(node)
-            continue
-        touched.append((node, members[0]))
-        for other in members[1:]:
-            group[root(other)] = root(members[0])
-    parts: Dict[str, Tuple[list, list]] = {}
-    for name in latents:
-        parts.setdefault(root(name), ([], []))[0].append(latents[name])
-    for node, member in touched:
-        parts[root(member)][1].append(node)
+    members = {
+        node: [p for p in model.dag.parents(node) if p in latents]
+        for node in model.dag.nodes if node not in latents
+    }
+    # every latent has a child, so the pair (first member, member) names it
+    pieces = connected_pieces((ms[0], m) for ms in members.values() for m in ms)
     components = sorted(
-        (_Component(model, members, children, cards) for members, children in parts.values()),
+        (_Component(model, [latents[name] for name in piece],
+                    [node for node, ms in members.items() if ms and ms[0] in piece], cards)
+         for piece in pieces),
         key=lambda component: component.key[0],
     )
-    return tuple(free), tuple(components)
+    return tuple(node for node, ms in members.items() if not ms), tuple(components)
 
 
 class FitMemo:

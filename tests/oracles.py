@@ -8,9 +8,10 @@ node, CI signatures by one walk per query (``d_separated`` and
 candidates are ordered by the full move key, Markov equivalence and marginal
 MAGs by comparing or reading full CI signatures, maximal augmentations by
 adding a bi-directed edge per inducing path, equivalence classes and
-PAGs by trying every orientation, latent groupings by building every
-partition before sorting. For VBEM, the whole-model fit runs every
-latent in one batch over all columns (the reference for ``run_vbem``'s
+PAGs by trying every orientation, connected pieces by transitive
+closure, latent groupings by building every partition before sorting.
+For VBEM, components are found by union-find, the whole-model fit runs
+every latent in one batch over all columns (the reference for ``run_vbem``'s
 split into components), the row-level fit keeps one responsibility
 vector per row, the sequential fit runs each restart alone, and the
 per-family fit keeps one array and one ``bincount`` per family (the bits
@@ -42,13 +43,7 @@ from confinder.graphs import (
     unshielded_triples,
     validate,
 )
-from confinder.latentize import (
-    LATENT_PREFIX,
-    Latent,
-    LatentizedDag,
-    LatentSpec,
-    _block_connected,
-)
+from confinder.latentize import LATENT_PREFIX, Latent, LatentizedDag, LatentSpec
 from confinder.seeds import derive_seed
 from confinder import vbem
 from confinder.vbem import (
@@ -419,6 +414,69 @@ def hill_climb_order_oracle(current: MixedGraph, pag: MixedGraph, cap: int) -> L
     return [g for _key, g in sorted(keyed, key=lambda item: item[0])]
 
 
+# -- connected pieces, by transitive closure ----------------------------------
+
+def connected_pieces_oracle(pairs: Iterable[Tuple[str, str]]) -> Tuple[FrozenSet[str], ...]:
+    """The pieces the pairs span: Warshall's closure of the symmetric pair
+    relation, each node's row one piece, sorted by least node."""
+    pairs = list(pairs)
+    nodes = sorted({n for pair in pairs for n in pair})
+    linked = {(n, n) for n in nodes} | set(pairs) | {(b, a) for a, b in pairs}
+    for k in nodes:
+        for i in nodes:
+            for j in nodes:
+                if (i, k) in linked and (k, j) in linked:
+                    linked.add((i, j))
+    pieces = {frozenset(m for m in nodes if (n, m) in linked) for n in nodes}
+    return tuple(sorted(pieces, key=min))
+
+
+def block_connected(block: Sequence[Tuple[str, str]]) -> bool:
+    """Do the block's pairs form one connected piece? A frontier walk that
+    scans every pair at every step."""
+    nodes = {n for e in block for n in e}
+    start = next(iter(nodes))
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        v = frontier.pop()
+        for a, b in block:
+            for u, w in ((a, b), (b, a)):
+                if u == v and w not in seen:
+                    seen.add(w)
+                    frontier.append(w)
+    return seen == nodes
+
+
+def split_oracle(model: LatentizedDag):
+    """The observed nodes without a latent parent, and per VBEM component
+    its latents and the observed nodes they touch, by union-find: a node
+    with several latent parents unites them. Components by least latent."""
+    group = {name: name for name in model.spec.names}
+
+    def root(name):
+        while group[name] != name:
+            name = group[name]
+        return name
+
+    free, touched = [], []
+    for node in model.observed:
+        members = [p for p in model.dag.parents(node) if p in group]
+        if not members:
+            free.append(node)
+            continue
+        touched.append((node, members[0]))
+        for other in members[1:]:
+            group[root(other)] = root(members[0])
+    parts: Dict[str, Tuple[set, set]] = {}
+    for name in group:
+        parts.setdefault(root(name), (set(), set()))[0].add(name)
+    for node, member in touched:
+        parts[root(member)][1].add(node)
+    pieces = [(frozenset(l), frozenset(c)) for l, c in parts.values()]
+    return tuple(free), sorted(pieces, key=lambda piece: min(piece[0]))
+
+
 # -- latent groupings, built eagerly -----------------------------------------
 
 def set_partitions(items: Sequence) -> Iterator[List[List]]:
@@ -439,7 +497,7 @@ def candidate_groupings_oracle(mag: MixedGraph) -> List[LatentSpec]:
     by latent count and children sets."""
     specs = []
     for part in set_partitions(list(mag.bidirected_edges())):
-        if not all(_block_connected(block) for block in part):
+        if not all(block_connected(block) for block in part):
             continue
         groups = sorted(tuple(sorted({n for e in block for n in e})) for block in part)
         specs.append(

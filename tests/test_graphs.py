@@ -20,7 +20,9 @@ from confinder.graphs import (
 from oracles import (
     SeparationQuery,
     all_queries,
+    block_connected,
     ci_signature_oracle,
+    connected_pieces_oracle,
     d_separated,
     is_maximal_oracle,
     m_separated,
@@ -397,10 +399,24 @@ def test_equivalence_requires_valid_mags():
         markov_equivalent(cyclic, cyclic)
 
 
+def non_maximal_mag():
+    # X <-> A <-> B <-> Y with A --> Y and B --> X: an inducing path joins X
+    # and Y, so no set separates them though they are non-adjacent
+    return mag(
+        "ABXY",
+        Edge.bidirected("X", "A"),
+        Edge.bidirected("A", "B"),
+        Edge.bidirected("B", "Y"),
+        Edge.directed("A", "Y"),
+        Edge.directed("B", "X"),
+    )
+
+
 def test_each_graph_fact_is_derived_once(monkeypatch):
     # the index, validity report, maximal augmentation and equivalence
     # invariants are cached properties of the graph: asked for again, each
-    # is read back, not derived again
+    # is read back, not derived again; a maximal graph is its own
+    # augmentation, so only a non-maximal one is projected
     derived = []
 
     def count_calls_of(name):
@@ -417,25 +433,62 @@ def test_each_graph_fact_is_derived_once(monkeypatch):
     g = mag("ABCD", Edge.directed("A", "B"), Edge.bidirected("B", "C"), Edge.directed("D", "C"))
     assert g.parents("B") == ("A",) and g.adjacent("C") == ("B", "D")
     assert validate(g).ok and validate(g) is validate(g)
-    assert maximal_augmentation(g) is maximal_augmentation(g)
+    assert maximal_augmentation(g) is g and maximal_augmentation(g) is g
     assert g.parents("C") == ("D",) and g.adjacent("B") == ("A", "C")
     assert markov_equivalent(g, g)
     assert sorted(name for name, graph in derived if graph is g) == [
+        "_Index", "_Invariants", "_check",
+    ]
+    h = non_maximal_mag()
+    assert maximal_augmentation(h) is maximal_augmentation(h) is not h
+    assert markov_equivalent(h, h)
+    assert sorted(name for name, graph in derived if graph is h) == [
         "_Index", "_Invariants", "_check", "project_to_mag",
     ]
 
 
-def test_augmentation_of_non_maximal_mag_is_equivalent_with_another_skeleton():
-    # X <-> A <-> B <-> Y with A --> Y and B --> X: an inducing path joins X
-    # and Y, so no set separates them though they are non-adjacent
-    m = mag(
-        "ABXY",
-        Edge.bidirected("X", "A"),
-        Edge.bidirected("A", "B"),
-        Edge.bidirected("B", "Y"),
-        Edge.directed("A", "Y"),
-        Edge.directed("B", "X"),
+@given(st.integers(0, 10**6))
+@settings(max_examples=60, deadline=None)
+def test_a_mag_is_its_own_augmentation_exactly_when_maximal(seed):
+    rng = random.Random(seed)
+    n = rng.randint(4, 6)
+    for g in (random_mag(rng, n, rng.choice((0.3, 0.5))), random_non_maximal_mag(rng, n)):
+        augmented = maximal_augmentation(g)
+        assert (augmented is g) == is_maximal_oracle(g)
+        assert augmented == maximal_augmentation_oracle(g)
+
+
+def test_maximal_augmentation_keeps_its_refusals():
+    g = mag("ABC", Edge.directed("A", "B"), Edge.bidirected("B", "C"))
+    with pytest.raises(ValueError, match="DAG or a MAG"):
+        maximal_augmentation(g.with_kind(GraphKind.PAG))
+    # maximal by its bi-directed components, but A --> B --> C with
+    # A <-> C is an almost-directed cycle
+    almost_cyclic = mag(
+        "ABC", Edge.directed("A", "B"), Edge.directed("B", "C"), Edge.bidirected("A", "C")
     )
+    with pytest.raises(ValueError, match="not valid"):
+        maximal_augmentation(almost_cyclic)
+    d = dag("ABC", Edge.directed("A", "B"), Edge.directed("C", "B"))
+    assert maximal_augmentation(d) == d.with_kind(GraphKind.MAG)
+
+
+NODES = st.sampled_from("ABCDEFG")
+
+
+@given(st.lists(st.tuples(NODES, NODES), max_size=12))
+@settings(max_examples=200, deadline=None)
+def test_connected_pieces_match_the_closure_oracle(pairs):
+    # repeated pairs, self pairs and both orders of a pair all occur
+    pieces = graphs.connected_pieces(pairs)
+    assert pieces == connected_pieces_oracle(pairs)
+    assert graphs.connected_pieces(iter(pairs)) == pieces
+    if pairs:
+        assert block_connected(pairs) == (len(pieces) == 1)
+
+
+def test_augmentation_of_non_maximal_mag_is_equivalent_with_another_skeleton():
+    m = non_maximal_mag()
     assert has_inducing_path(m, "X", "Y")
     full = project_to_mag(m, m.nodes)
     assert set(full.edges) == set(m.edges) | {Edge.bidirected("X", "Y")}

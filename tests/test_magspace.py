@@ -86,7 +86,9 @@ def test_collider_pag_strata():
 
 
 def test_enumeration_augments_the_reference_once(monkeypatch):
-    source = pag(
+    # a maximal reference is its own augmentation, so it is never projected;
+    # a non-maximal one is projected once, and no candidate twice
+    maximal_source = pag(
         "ABCDEF",
         Edge.circle_circle("A", "B"),
         Edge.circle_circle("B", "C"),
@@ -94,22 +96,34 @@ def test_enumeration_augments_the_reference_once(monkeypatch):
         Edge.bidirected("D", "E"),
         Edge.circle_arrow("F", "E"),
     )
-    ref = reference_mag(source)
-    monkeypatch.setattr(confinder.magspace, "reference_mag", lambda _pag: ref)
-    augmented = []
+    # X <-> A <-> B <-> Y with A --> Y and B --> X: an inducing path joins
+    # X and Y, and the tail-first reference keeps both directed edges
+    non_maximal_source = pag(
+        "ABXY",
+        Edge.bidirected("X", "A"),
+        Edge.bidirected("A", "B"),
+        Edge.bidirected("B", "Y"),
+        Edge.circle_arrow("A", "Y"),
+        Edge.circle_arrow("B", "X"),
+    )
     original = confinder.graphs.project_to_mag
+    for source, members, projections in ((maximal_source, 3, 0), (non_maximal_source, 1, 1)):
+        ref = reference_mag(source)
+        assert is_maximal(ref) == (projections == 0)
+        monkeypatch.setattr(confinder.magspace, "reference_mag", lambda _pag, ref=ref: ref)
+        augmented = []
 
-    def counting(graph, observed):
-        augmented.append(graph)
-        return original(graph, observed)
+        def counting(graph, observed):
+            augmented.append(graph)
+            return original(graph, observed)
 
-    monkeypatch.setattr(confinder.graphs, "project_to_mag", counting)
-    strata = enumerate_mags(source)
-    assert len(all_mags(strata)) > 2
-    assert sum(graph is ref for graph in augmented) == 1
-    # every other projection is of a distinct candidate
-    others = [graph for graph in augmented if graph is not ref]
-    assert len(others) == len({id(graph) for graph in others})
+        monkeypatch.setattr(confinder.graphs, "project_to_mag", counting)
+        strata = enumerate_mags(source)
+        assert len(all_mags(strata)) >= members and ref in all_mags(strata)
+        assert sum(graph is ref for graph in augmented) == projections
+        # every other projection is of a distinct candidate
+        others = [graph for graph in augmented if graph is not ref]
+        assert len(others) == len({id(graph) for graph in others})
 
 
 def circle_chain(n):

@@ -38,6 +38,7 @@ from oracles import (
     random_latentized_instance,
     reference_vbem,
     sequential_vbem,
+    split_oracle,
     three_latent_parent_instance,
     whole_vbem,
 )
@@ -609,6 +610,28 @@ def test_composed_bound_equals_the_whole_bound(seed):
     assert composed_bound(model, data, state.q_latent) == pytest.approx(
         report.elbo, rel=0.0, abs=1e-9
     )
+
+
+@given(st.integers(0, 10**6))
+@settings(max_examples=60, deadline=None)
+def test_split_matches_the_union_find_oracle(seed):
+    rng = random.Random(seed)
+    models = [
+        random_latentized_instance(rng, max_latents=3)[0],
+        random_latentized_instance(rng, max_latents=4, components=2)[0],
+        three_latent_parent_instance()[0],
+    ]
+    for model in models:
+        cards = {n: 2 for n in model.observed}
+        free, components = vbem._split(model, cards)
+        pieces = sorted(
+            ((frozenset(c.latents), frozenset(node for node, _ in c.families))
+             for c in components),
+            key=lambda piece: min(piece[0]),
+        )
+        assert (free, pieces) == split_oracle(model)
+        keys = [c.key[0] for c in components]
+        assert keys == sorted(keys)
 
 
 def relabeled(model, names):
